@@ -88,20 +88,6 @@ const (
 // EncodeOptions selects encoding modes (see internal/encode.Options).
 type EncodeOptions = encode.Options
 
-// Schedule selects the find-all work-distribution strategy (see
-// internal/verify.Schedule).
-type Schedule = verify.Schedule
-
-// Scheduling strategy re-exports; ScheduleStatic is the default.
-const (
-	ScheduleStatic = verify.ScheduleStatic
-	ScheduleSteal  = verify.ScheduleSteal
-)
-
-// ParseSchedule maps the CLI -schedule flag values ("", "static",
-// "steal") to a Schedule.
-func ParseSchedule(s string) (Schedule, error) { return verify.ParseSchedule(s) }
-
 // Options configures verification and localization runs.
 type Options struct {
 	// FindAll checks every assertion one by one; the default stops at the
@@ -139,15 +125,6 @@ type Options struct {
 	// assertion's slice instead of the whole run. Forces the serial path;
 	// reports stay byte-identical to the default fresh-solver mode.
 	Stream bool
-	// Schedule selects the find-all work-distribution strategy:
-	// ScheduleStatic (default) or ScheduleSteal, the work-stealing
-	// scheduler. Canonical reports are byte-identical across schedules;
-	// steal mode is incompatible with Incremental and Stream.
-	Schedule Schedule
-	// Portfolio races K diverse solver personalities per find-all check and
-	// takes the first verdict (0 or 1: no racing). Reports stay
-	// byte-identical at every K; incompatible with Incremental and Stream.
-	Portfolio int
 	// Encode selects the encoding modes; the zero value is the paper's
 	// configuration (sequential encoding, ABV lookup tree, KV packets).
 	Encode EncodeOptions
@@ -156,8 +133,7 @@ type Options struct {
 func (o Options) verifyOptions() verify.Options {
 	return verify.Options{Encode: o.Encode, FindAll: o.FindAll, Budget: o.Budget,
 		Parallel: o.Parallel, Incremental: o.Incremental, Simplify: o.Simplify,
-		Preprocess: o.Preprocess, Slice: o.Slice, Stream: o.Stream,
-		Schedule: o.Schedule, Portfolio: o.Portfolio}
+		Preprocess: o.Preprocess, Slice: o.Slice, Stream: o.Stream}
 }
 
 // ParseProgram parses and type-checks P4lite source.

@@ -10,8 +10,7 @@
 //	aquila-bench -exp table4 [-scales small,medium,large]
 //	aquila-bench -exp fig11a [-k 5] [-scale medium]
 //	aquila-bench -exp fig11b [-entries 1000,2000,3000,4000,5000]
-//	aquila-bench -exp parallel [-parallel 1,2,4,8] [-portfolios 1,2] [-repeats 3]
-//	                           [-out BENCH_parallel.json]
+//	aquila-bench -exp parallel [-parallel 1,2,4,8] [-repeats 3] [-out BENCH_parallel.json]
 //	aquila-bench -exp incremental [-parallel 1,2,4] [-repeats 3] [-incr-out BENCH_incremental.json]
 //	aquila-bench -exp preproc [-parallel 1,2,4] [-repeats 3] [-preproc-out BENCH_preproc.json]
 //	                          [-compare BENCH_preproc.json]
@@ -25,16 +24,14 @@
 //	                        [-compare-scale BENCH_scale.json]
 //	aquila-bench -exp all -quick
 //	aquila-bench -analyze trace.json [-analyze-out util.json]
-//	             [-compare-util BENCH_obs.json] [-compare-straggler util.json]
+//	             [-compare-util BENCH_obs.json]
 //
 // -analyze skips the experiments and runs the worker-utilization pass
 // over a Chrome trace (as written by any CLI's -trace): per-worker busy
 // fraction over the solve phase, the critical path, and the straggler
 // index. -compare-util gates against a reference (a BENCH_obs.json or a
 // previous -analyze-out), failing on a >20% mean-busy-fraction
-// regression — the CI scheduling-regression check. -compare-straggler
-// gates the work-stealing scheduler: the analyzed trace's straggler
-// index must not be worse than the reference's (static-schedule) index.
+// regression — the CI scheduling-regression check.
 //
 // Observability flags (shared with the other CLIs): -trace writes a
 // Chrome trace-event JSON covering the whole run, -pprof/-memprofile
@@ -70,7 +67,6 @@ func mainRun() int {
 		scale      = flag.String("scale", "medium", "fig11a/fig11b switch-T scale")
 		entries    = flag.String("entries", "1000,2000,3000,4000,5000", "fig11b entry counts")
 		parallel   = flag.String("parallel", "1,2,4,8", "parallel-sweep worker counts (first must be 1, the speedup baseline)")
-		portfolios = flag.String("portfolios", "1,2", "parallel-sweep portfolio sizes (first must be 1, the no-racing baseline)")
 		repeats    = flag.Int("repeats", 3, "parallel/obs runs per configuration (best wall time kept)")
 		outPath    = flag.String("out", "BENCH_parallel.json", "parallel-sweep JSON output file (empty: stdout table only)")
 		incrOut    = flag.String("incr-out", "BENCH_incremental.json", "incremental-sweep JSON output file (empty: stdout table only)")
@@ -88,7 +84,6 @@ func mainRun() int {
 		analyzeIn  = flag.String("analyze", "", "skip experiments: analyze worker utilization of a Chrome trace JSON (as written by -trace)")
 		analyzeOut = flag.String("analyze-out", "", "with -analyze: write the utilization JSON here")
 		utilCmp    = flag.String("compare-util", "", "with -analyze: reference BENCH_obs.json (or utilization JSON); exit non-zero if mean busy fraction regresses >20%")
-		stragCmp   = flag.String("compare-straggler", "", "with -analyze: reference utilization JSON; exit non-zero if the straggler index is worse than the reference's (the steal-vs-static load-balance gate)")
 		tracePath  = flag.String("trace", "", "write Chrome trace-event JSON covering the run")
 		cpuProf    = flag.String("pprof", "", "write CPU profile (go tool pprof)")
 		memProf    = flag.String("memprofile", "", "write heap profile on exit")
@@ -99,7 +94,7 @@ func mainRun() int {
 	flag.Parse()
 
 	if *analyzeIn != "" {
-		return analyzeMain(*analyzeIn, *analyzeOut, *utilCmp, *stragCmp)
+		return analyzeMain(*analyzeIn, *analyzeOut, *utilCmp)
 	}
 
 	o, closeObs, err := obs.Setup(obs.Config{
@@ -216,9 +211,9 @@ func mainRun() int {
 	})
 
 	run("parallel", func() error {
-		// The {schedule, portfolio, workers} grid on the DC gateway (scale)
-		// and the skewed-telemetry program (load imbalance — the workload
-		// the steal schedule exists for).
+		// The worker sweep on the DC gateway (scale) and the
+		// skewed-telemetry program (load imbalance from one heavy
+		// assertion).
 		var counts []int
 		for _, s := range strings.Split(*parallel, ",") {
 			n, err := strconv.Atoi(strings.TrimSpace(s))
@@ -227,21 +222,13 @@ func mainRun() int {
 			}
 			counts = append(counts, n)
 		}
-		var ks []int
-		for _, s := range strings.Split(*portfolios, ",") {
-			n, err := strconv.Atoi(strings.TrimSpace(s))
-			if err != nil {
-				return err
-			}
-			ks = append(ks, n)
-		}
 		reps := *repeats
 		if *quick {
 			reps = 1
 		}
 		res, err := bench.ParallelSuite(
 			[]*progs.Benchmark{progs.DCGatewayBench(), progs.SkewedBench()},
-			counts, ks, reps)
+			counts, reps)
 		if err != nil {
 			return err
 		}
@@ -512,7 +499,7 @@ func mainRun() int {
 
 // analyzeMain is the -analyze mode: worker-utilization analytics over a
 // Chrome trace, with the optional CI scheduling-regression gate.
-func analyzeMain(tracePath, outPath, comparePath, stragglerPath string) int {
+func analyzeMain(tracePath, outPath, comparePath string) int {
 	fail := func(err error) int {
 		fmt.Fprintf(os.Stderr, "aquila-bench: %v\n", err)
 		return 1
@@ -541,17 +528,6 @@ func analyzeMain(tracePath, outPath, comparePath, stragglerPath string) int {
 			return fail(err)
 		}
 		fmt.Printf("no scheduling regression vs %s\n", comparePath)
-	}
-	if stragglerPath != "" {
-		ref, err := loadUtilization(stragglerPath)
-		if err != nil {
-			return fail(err)
-		}
-		if err := obs.CompareStraggler(ref, util); err != nil {
-			return fail(err)
-		}
-		fmt.Printf("straggler index %.2f within gate vs reference %.2f (%s)\n",
-			util.StragglerIndex, ref.StragglerIndex, stragglerPath)
 	}
 	return 0
 }

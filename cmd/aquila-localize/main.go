@@ -6,9 +6,8 @@
 // Usage:
 //
 //	aquila-localize -spec spec.lpi [-p4 prog.p4] [-entries snap.txt]
-//	                [-budget N] [-parallel N] [-schedule static|steal]
-//	                [-portfolio K] [-incremental] [-simplify=false]
-//	                [-preprocess] [-slice]
+//	                [-budget N] [-parallel N] [-incremental]
+//	                [-simplify=false] [-preprocess] [-slice]
 //	                [-trace out.json] [-pprof cpu.out] [-memprofile mem.out] [-v]
 //
 // -incremental makes the find-violations pass and the causality filter
@@ -17,10 +16,8 @@
 // true) adds the algebraic pre-blast pass. -preprocess enables CNF
 // preprocessing in every verdict-only solver (the model-extracting MaxSAT
 // repair solver stays plain); -slice applies cone-of-influence slicing in
-// the find-violations pass. -schedule steal and -portfolio K route the
-// find-violations pass through the work-stealing scheduler / portfolio
-// racing (incompatible with -incremental — rejected with an error, not
-// silently resolved). Results are identical.
+// the find-violations pass. Results are identical under every
+// combination of these flags.
 //
 // -trace writes a Chrome trace-event JSON covering the localization
 // pipeline (find-violations, table-entry repair, causality filter, fix
@@ -47,8 +44,6 @@ func run() int {
 		entries    = flag.String("entries", "", "table-entry snapshot file")
 		budget     = flag.Int64("budget", 0, "SAT conflict budget per query (0: unlimited)")
 		parallel   = flag.Int("parallel", 0, fmt.Sprintf("worker goroutines for localization re-checks (0: GOMAXPROCS, currently %d; 1: serial)", runtime.GOMAXPROCS(0)))
-		schedule   = flag.String("schedule", "static", "find-violations work distribution: static|steal")
-		portfolio  = flag.Int("portfolio", 1, "solver personalities raced per find-violations check; first verdict wins")
 		incr       = flag.Bool("incremental", false, "shared-prefix incremental solving for verification and the causality filter")
 		simplify   = flag.Bool("simplify", true, "algebraic simplification pass before blasting (incremental mode only)")
 		preproc    = flag.Bool("preprocess", false, "SatELite-style CNF preprocessing in verdict-only solvers")
@@ -65,15 +60,10 @@ func run() int {
 		flag.Usage()
 		return 2
 	}
-	sched, err := aquila.ParseSchedule(*schedule)
-	if err != nil {
-		return fail(err)
-	}
 	opts := aquila.Options{
 		Budget: *budget, Parallel: *parallel,
 		Incremental: *incr, Simplify: *simplify,
 		Preprocess: *preproc, Slice: *slice,
-		Schedule: sched, Portfolio: *portfolio,
 	}
 
 	o, closeObs, err := obs.Setup(obs.Config{

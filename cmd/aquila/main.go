@@ -7,8 +7,7 @@
 //	aquila -spec spec.lpi [-p4 prog.p4] [-entries snap.txt] [-all]
 //	       [-parser sequential|tree] [-table abvtree|abvlinear|naive]
 //	       [-packet kv|bitvector] [-budget N] [-parallel N]
-//	       [-schedule static|steal] [-portfolio K]
-//	       [-incremental] [-simplify=false] [-preprocess] [-slice]
+//	       [-incremental] [-simplify=false] [-preprocess] [-slice] [-stream]
 //	       [-trace out.json] [-pprof cpu.out] [-memprofile mem.out] [-v]
 //	       [-progress] [-metrics out.om] [-watchdog 30s]
 //	       [-churn deltas.txt]
@@ -20,25 +19,26 @@
 // report is byte-identical to a fresh verification of the mutated
 // snapshot.
 //
-// -incremental switches find-all solving to the shared-prefix engine
-// (blast the common VC prefix once per worker shard, check each assertion
-// under an activation literal); it implies -all. -simplify (default true)
-// controls the algebraic pre-blast simplification pass in that mode.
-// -preprocess enables SatELite-style CNF preprocessing in the SAT core;
-// -slice drops VC conjuncts outside each assertion's cone of influence
-// before blasting (find-all modes). -schedule steal routes find-all
-// checks through the work-stealing scheduler (implies -all); -portfolio K
-// races K diverse solver personalities per check and takes the first
-// verdict (implies -all). Reports are byte-identical to the default
-// fresh-solver mode under every combination of these flags; incompatible
-// combinations (e.g. -stream with -parallel, -schedule steal with
-// -incremental) are rejected up front with an error naming the conflict.
+// Find-all checks (-all) run one engine loop with two solver policies: a
+// deterministic fresh solver per assertion (the default), or
+// -incremental, which shares one solver per worker shard (blast the
+// common VC prefix once, check each assertion under an activation
+// literal); -incremental implies -all. -simplify (default true) controls
+// the algebraic pre-blast simplification pass in that mode. -preprocess
+// enables SatELite-style CNF preprocessing in the SAT core; -slice drops
+// VC conjuncts outside each assertion's cone of influence before blasting
+// (find-all modes). -stream is a memory policy of the serial loop: it
+// releases each assertion's transient terms after its check (implies
+// -all). Reports are byte-identical to the default fresh-solver mode
+// under every combination of these flags; incompatible combinations
+// (e.g. -stream with -parallel 2) are rejected up front with an error
+// naming the conflict.
 //
 // The P4 program may also be named by the spec's config section
 // (`config { path = prog.p4; }`), or selected from the built-in corpus
 // with -builtin (e.g. `aquila -builtin dc-gateway -all`, which infers the
 // undefined-behaviour spec — handy for smoke tests and CI; `skewed` is
-// the deliberately load-imbalanced scheduler benchmark).
+// a deliberately load-imbalanced benchmark with one heavy assertion).
 //
 // -trace writes a Chrome trace-event JSON (load it in chrome://tracing or
 // Perfetto) with one span per pipeline phase and per assertion solve;
@@ -79,8 +79,6 @@ func run() int {
 		preproc    = flag.Bool("preprocess", false, "SatELite-style CNF preprocessing in the SAT core")
 		slice      = flag.Bool("slice", false, "per-assertion cone-of-influence slicing of the VC (find-all modes)")
 		stream     = flag.Bool("stream", false, "streaming VC generation for -all: release per-assertion transient terms, bounding peak memory (implies -all, forces serial)")
-		schedule   = flag.String("schedule", "static", "find-all work distribution: static|steal (steal implies -all)")
-		portfolio  = flag.Int("portfolio", 1, "solver personalities raced per find-all check; first verdict wins (>1 implies -all)")
 		blocklist  = flag.Bool("blocklist", false, "with no -entries: print the table behaviours that trigger each violation (§2 blocklist)")
 		jsonOut    = flag.Bool("json", false, "emit a machine-readable JSON report")
 		canonical  = flag.Bool("canonical", false, "with -json: emit the canonical report (cost counters zeroed) — byte-identical across engines, for differential checks")
@@ -98,12 +96,8 @@ func run() int {
 		flag.Usage()
 		return 2
 	}
-	sched, err := aquila.ParseSchedule(*schedule)
-	if err != nil {
-		return fail(err)
-	}
 	opts := aquila.Options{
-		FindAll:     *findAll || *incr || *stream || sched == aquila.ScheduleSteal || *portfolio > 1,
+		FindAll:     *findAll || *incr || *stream,
 		Budget:      *budget,
 		Parallel:    *parallel,
 		Incremental: *incr,
@@ -111,8 +105,6 @@ func run() int {
 		Preprocess:  *preproc,
 		Slice:       *slice,
 		Stream:      *stream,
-		Schedule:    sched,
-		Portfolio:   *portfolio,
 		Encode:      encodeOptions(*parserStr, *tableStr, *packetStr),
 	}
 

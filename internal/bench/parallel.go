@@ -14,25 +14,18 @@ import (
 )
 
 // ParallelRow is one measurement of the parallel-engine sweep: find-all
-// verification of the same program at a fixed {schedule, portfolio,
-// workers} point.
+// verification of the same program at a fixed worker count.
 type ParallelRow struct {
 	Workers int `json:"workers"`
-	// Schedule is the work-distribution strategy ("static" or "steal");
-	// Portfolio is the number of solver personalities raced per check
-	// (1: no racing).
-	Schedule  string `json:"schedule"`
-	Portfolio int    `json:"portfolio"`
 	// WallMS is the best-of-repeats find-all wall time (encode + solve).
 	WallMS float64 `json:"wall_ms"`
 	// SolveMS / SolveCPUMS are the solving phase's wall clock and the
 	// cumulative per-check CPU from the same (best) run. SolveCPUMS is
-	// worker-count independent modulo noise — the fair cost metric —
-	// except under racing, which deliberately trades CPU for wall time.
+	// worker-count independent modulo noise — the fair cost metric.
 	SolveMS    float64 `json:"solve_ms"`
 	SolveCPUMS float64 `json:"solve_cpu_ms"`
 	// Speedup is wall(baseline row) / wall(this row); the baseline is the
-	// first row (workers=1, static, portfolio 1).
+	// first row (workers=1).
 	Speedup float64 `json:"speedup"`
 	// CPUBound marks a multi-worker row measured on a single effective
 	// CPU: its wall-clock speedup is bounded at 1.0x by the host, not by
@@ -40,20 +33,13 @@ type ParallelRow struct {
 	// Speedup column as an engine regression.
 	CPUBound bool `json:"cpu_bound,omitempty"`
 	// Identical reports whether this row's canonical report bytes match
-	// the baseline exactly — the determinism contract at every grid point.
+	// the baseline exactly — the determinism contract at every worker count.
 	Identical bool `json:"identical"`
 	Bugs      int  `json:"bugs"`
-	// Steals counts checks executed by a worker other than their static
-	// owner (steal schedule only); RacesWon counts raced checks that
-	// produced a verdict and CancelledCPUMS the CPU burned by cancelled
-	// racers (portfolio > 1 only).
-	Steals         int64   `json:"steals,omitempty"`
-	RacesWon       int64   `json:"races_won,omitempty"`
-	CancelledCPUMS float64 `json:"cancelled_cpu_ms,omitempty"`
 	// StragglerIndex is max worker busy time over mean worker busy time
-	// from the best run's trace (1.0 = perfectly balanced); the load-
-	// imbalance metric the steal schedule exists to improve. Meaningful
-	// from busy-time ratios even on a single-CPU host.
+	// from the best run's trace (1.0 = perfectly balanced): the load
+	// imbalance a heavy assertion causes. Meaningful from busy-time ratios
+	// even on a single-CPU host.
 	StragglerIndex float64 `json:"straggler_index,omitempty"`
 }
 
@@ -86,22 +72,14 @@ func (r *ParallelResult) SingleCPU() bool {
 	return r.CPUs <= 1 || r.NumCPU <= 1
 }
 
-// Parallel sweeps find-all verification of bm over the {schedule static,
-// steal} × portfolios × workerCounts grid (each point repeated `repeats`
-// times, best wall time kept) and checks that every point reproduces the
-// baseline canonical report byte for byte. The first entry of
-// workerCounts must be 1 and the first of portfolios must be 1 (the
-// baseline point is static/portfolio-1/workers-1). Every run carries an
-// in-process tracer so each row records its straggler index.
-func Parallel(bm *progs.Benchmark, workerCounts, portfolios []int, repeats int) (*ParallelResult, error) {
+// Parallel sweeps find-all verification of bm over workerCounts (each
+// point repeated `repeats` times, best wall time kept) and checks that
+// every point reproduces the baseline canonical report byte for byte. The
+// first entry of workerCounts must be 1 (the baseline point). Every run
+// carries an in-process tracer so each row records its straggler index.
+func Parallel(bm *progs.Benchmark, workerCounts []int, repeats int) (*ParallelResult, error) {
 	if len(workerCounts) == 0 || workerCounts[0] != 1 {
 		return nil, fmt.Errorf("bench: parallel sweep needs workerCounts starting at 1, got %v", workerCounts)
-	}
-	if len(portfolios) == 0 {
-		portfolios = []int{1}
-	}
-	if portfolios[0] != 1 {
-		return nil, fmt.Errorf("bench: parallel sweep needs portfolios starting at 1, got %v", portfolios)
 	}
 	if repeats < 1 {
 		repeats = 1
@@ -122,74 +100,62 @@ func Parallel(bm *progs.Benchmark, workerCounts, portfolios []int, repeats int) 
 	}
 	var baseline []byte
 	var baseWall time.Duration
-	for _, sched := range []verify.Schedule{verify.ScheduleStatic, verify.ScheduleSteal} {
-		for _, k := range portfolios {
-			for _, w := range workerCounts {
-				var best time.Duration
-				var bestRep *verify.Report
-				var bestSink *obs.Obs
-				for r := 0; r < repeats; r++ {
-					// Each repeat gets its own tracer so the best run's
-					// spans can be analyzed in isolation.
-					sink := &obs.Obs{Tracer: obs.NewTracer()}
-					start := time.Now()
-					// Plain engine config (no preprocessing/slicing): the
-					// sweep isolates the scheduler and racing axes, and the
-					// preproc experiment already covers the CNF passes.
-					// Slicing in particular shrinks the cheap assertions to
-					// noise level, which would bury the load-imbalance
-					// signal the straggler column exists to show.
-					rep, err := verify.Run(prog, nil, spec, verify.Options{
-						FindAll: true, Parallel: w, Schedule: sched, Portfolio: k,
-						Obs: sink,
-					})
-					wall := time.Since(start)
-					if err != nil {
-						return nil, fmt.Errorf("bench: parallel sched=%v portfolio=%d workers=%d: %w",
-							sched, k, w, err)
-					}
-					if bestRep == nil || wall < best {
-						best, bestRep, bestSink = wall, rep, sink
-					}
-				}
-				canon, err := bestRep.CanonicalJSON()
-				if err != nil {
-					return nil, err
-				}
-				if baseline == nil {
-					baseline, baseWall = canon, best
-					res.Assertions = bestRep.Stats.Assertions
-				}
-				row := ParallelRow{
-					Workers:        w,
-					Schedule:       sched.String(),
-					Portfolio:      k,
-					WallMS:         float64(best.Microseconds()) / 1000,
-					SolveMS:        float64(bestRep.Stats.SolveTime.Microseconds()) / 1000,
-					SolveCPUMS:     float64(bestRep.Stats.SolveCPU.Microseconds()) / 1000,
-					Speedup:        float64(baseWall) / float64(best),
-					CPUBound:       w > 1 && res.SingleCPU(),
-					Identical:      bytes.Equal(canon, baseline),
-					Bugs:           len(bestRep.Violations),
-					Steals:         bestRep.Stats.Steals,
-					RacesWon:       bestRep.Stats.RacesWon,
-					CancelledCPUMS: float64(bestRep.Stats.CancelledCPU.Microseconds()) / 1000,
-				}
-				if util, err := obs.Analyze(bestSink.Tracer.Events()); err == nil {
-					row.StragglerIndex = util.StragglerIndex
-				}
-				res.Rows = append(res.Rows, row)
+	for _, w := range workerCounts {
+		var best time.Duration
+		var bestRep *verify.Report
+		var bestSink *obs.Obs
+		for r := 0; r < repeats; r++ {
+			// Each repeat gets its own tracer so the best run's spans can be
+			// analyzed in isolation.
+			sink := &obs.Obs{Tracer: obs.NewTracer()}
+			start := time.Now()
+			// Plain engine config (no preprocessing/slicing): the sweep
+			// isolates the worker axis, and the preproc experiment already
+			// covers the CNF passes. Slicing in particular shrinks the cheap
+			// assertions to noise level, which would bury the load-imbalance
+			// signal the straggler column exists to show.
+			rep, err := verify.Run(prog, nil, spec, verify.Options{
+				FindAll: true, Parallel: w, Obs: sink,
+			})
+			wall := time.Since(start)
+			if err != nil {
+				return nil, fmt.Errorf("bench: parallel workers=%d: %w", w, err)
+			}
+			if bestRep == nil || wall < best {
+				best, bestRep, bestSink = wall, rep, sink
 			}
 		}
+		canon, err := bestRep.CanonicalJSON()
+		if err != nil {
+			return nil, err
+		}
+		if baseline == nil {
+			baseline, baseWall = canon, best
+			res.Assertions = bestRep.Stats.Assertions
+		}
+		row := ParallelRow{
+			Workers:    w,
+			WallMS:     float64(best.Microseconds()) / 1000,
+			SolveMS:    float64(bestRep.Stats.SolveTime.Microseconds()) / 1000,
+			SolveCPUMS: float64(bestRep.Stats.SolveCPU.Microseconds()) / 1000,
+			Speedup:    float64(baseWall) / float64(best),
+			CPUBound:   w > 1 && res.SingleCPU(),
+			Identical:  bytes.Equal(canon, baseline),
+			Bugs:       len(bestRep.Violations),
+		}
+		if util, err := obs.Analyze(bestSink.Tracer.Events()); err == nil {
+			row.StragglerIndex = util.StragglerIndex
+		}
+		res.Rows = append(res.Rows, row)
 	}
 	return res, nil
 }
 
-// ParallelSuite runs the grid sweep on each benchmark.
-func ParallelSuite(bms []*progs.Benchmark, workerCounts, portfolios []int, repeats int) (*ParallelSuiteResult, error) {
+// ParallelSuite runs the worker sweep on each benchmark.
+func ParallelSuite(bms []*progs.Benchmark, workerCounts []int, repeats int) (*ParallelSuiteResult, error) {
 	out := &ParallelSuiteResult{}
 	for _, bm := range bms {
-		res, err := Parallel(bm, workerCounts, portfolios, repeats)
+		res, err := Parallel(bm, workerCounts, repeats)
 		if err != nil {
 			return nil, err
 		}
@@ -213,13 +179,12 @@ func FormatParallel(r *ParallelResult) string {
 	var b strings.Builder
 	fmt.Fprintf(&b, "Parallel find-all sweep: %s (%d assertions, %d CPUs of %d cores, best of %d)\n",
 		r.Program, r.Assertions, r.CPUs, r.NumCPU, r.Repeats)
-	fmt.Fprintf(&b, "%-8s  %-5s  %9s  %10s  %10s  %12s  %8s  %9s  %4s  %6s  %9s\n",
-		"workers", "sched", "portfolio", "wall ms", "solve ms", "solve-cpu ms", "speedup", "identical", "bugs", "steals", "straggler")
+	fmt.Fprintf(&b, "%-8s  %10s  %10s  %12s  %8s  %9s  %4s  %9s\n",
+		"workers", "wall ms", "solve ms", "solve-cpu ms", "speedup", "identical", "bugs", "straggler")
 	for _, row := range r.Rows {
-		fmt.Fprintf(&b, "%-8d  %-5s  %9d  %10.1f  %10.1f  %12.1f  %7.2fx  %9v  %4d  %6d  %9.2f\n",
-			row.Workers, row.Schedule, row.Portfolio, row.WallMS, row.SolveMS,
-			row.SolveCPUMS, row.Speedup, row.Identical, row.Bugs, row.Steals,
-			row.StragglerIndex)
+		fmt.Fprintf(&b, "%-8d  %10.1f  %10.1f  %12.1f  %7.2fx  %9v  %4d  %9.2f\n",
+			row.Workers, row.WallMS, row.SolveMS, row.SolveCPUMS, row.Speedup,
+			row.Identical, row.Bugs, row.StragglerIndex)
 	}
 	if r.SingleCPU() {
 		b.WriteString("note: single-CPU host — multi-worker rows are cpu_bound, wall-clock speedup is bounded at 1.0x; solve-cpu ms shows the worker-count-independent cost, straggler index the busy-time imbalance.\n")

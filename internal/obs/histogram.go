@@ -18,10 +18,6 @@ const (
 	// HistSliceDropPct is the per-assertion percentage of VC conjuncts
 	// dropped by cone-of-influence slicing (0..100, only under -slice).
 	HistSliceDropPct = "verify.slice_drop_pct"
-	// HistRaceWasteUS is, per raced check, the CPU microseconds spent by
-	// portfolio racers that were cancelled after a rival's verdict — the
-	// price paid for the wall-clock win (only under -portfolio > 1).
-	HistRaceWasteUS = "verify.race_waste_us"
 	// HistDeltaRecheck is, per applied table delta, the number of
 	// assertions the session engine actually re-solved (the rest were
 	// replayed from the session cache; only under -churn).

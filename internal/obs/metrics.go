@@ -46,22 +46,13 @@ const (
 	CtrVerifyUnsat        = "verify.checks_unsat"
 	CtrVerifyUnknown      = "verify.checks_unknown"
 	CtrVerifySliceDropped = "verify.slice_conjuncts_dropped"
-	// Work-stealing scheduler and portfolio racing (find-all engines).
-	// Steals counts checks executed by a worker other than their static
-	// owner; races won/lost count racer verdicts per raced check (one win,
-	// K-1 losses); cancelled CPU totals the microseconds losers burned.
 	// Session (delta re-verification) engine: verdicts replayed from the
 	// session cache vs assertions re-solved after a table delta.
 	CtrVerifyDeltaReuse   = "verify.delta_reuse_hits"
 	CtrVerifyDeltaRecheck = "verify.delta_recheck"
-	CtrVerifySteals       = "verify.steals"
-	CtrVerifyRacesWon     = "verify.races_won"
-	CtrVerifyRacesLost    = "verify.races_lost"
-	CtrVerifyCancelledUS  = "verify.race_cancelled_us"
 	GaugeTermNodes        = "smt.term_nodes"
 	GaugeVerifyWorkers    = "verify.workers"
 	GaugeVerifyShards     = "verify.incremental_shards"
-	GaugeVerifyPortfolio  = "verify.portfolio"
 
 	// Continuous verification daemon (internal/serve): applied deltas,
 	// requests rejected before reaching a session (parse/validation/size

@@ -640,14 +640,13 @@ pipeline dc_gateway { parser = GatewayParser; control = GatewayIngress; deparser
 `
 
 // SkewedTelemetry is a deliberately load-imbalanced benchmark for the
-// scheduler experiments: a dozen cheap table obligations (tag/ethernet
+// parallel sweep: a dozen cheap table obligations (tag/ethernet
 // lookups whose validity proofs close in a handful of conflicts) plus one
 // heavy one — stats_tbl is applied only when the carry-recurrence adder
 // identity (a^b) + ((a&b)<<1) == a+b fails on two independent 32-bit field
 // pairs, so proving it unreachable forces the SAT core to refute the
-// identity bit-by-bit twice. Under static index sharding the shard owning
-// stats_tbl grinds while the rest idle (a high obs straggler index); work
-// stealing redistributes everything else. Seeded bug: ttl_tbl reads
+// identity bit-by-bit twice. The worker that draws stats_tbl grinds while
+// the rest idle (a high obs straggler index). Seeded bug: ttl_tbl reads
 // tag.ttl without a tag.isValid() guard.
 const SkewedTelemetry = `
 // skewed_telemetry.p4 — INT-style telemetry with one pathological check.
@@ -728,9 +727,9 @@ func DCGatewayBench() *Benchmark {
 
 // SkewedBench returns the skewed-telemetry program as a benchmark. Like
 // the DC gateway it sits outside HandWrittenSuite: it exists to make
-// scheduler load imbalance measurable (one assertion dominates total solve
-// time even on a single-CPU host), backing the work-stealing experiment
-// and the CI straggler-index gate.
+// worker load imbalance measurable (one assertion dominates total solve
+// time even on a single-CPU host), backing the parallel sweep's straggler
+// column.
 func SkewedBench() *Benchmark {
 	return &Benchmark{Name: "Skewed Telemetry", Source: SkewedTelemetry, Calls: []string{"skew"}}
 }

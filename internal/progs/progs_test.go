@@ -58,10 +58,10 @@ func TestSeededBugsDetected(t *testing.T) {
 	}
 }
 
-// TestSkewedBenchShape pins the scheduler benchmark's defining
+// TestSkewedBenchShape pins the load-imbalance benchmark's defining
 // properties: it parses, its seeded ttl bug is found, and one assertion
 // (the adder-identity-guarded stats table) dominates the solve cost —
-// the deliberate straggler the work-stealing schedule exists to absorb.
+// the deliberate straggler the parallel sweep's straggler column shows.
 func TestSkewedBenchShape(t *testing.T) {
 	bm := SkewedBench()
 	prog, err := bm.Parse()

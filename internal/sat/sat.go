@@ -180,22 +180,10 @@ type Solver struct {
 	progressEvery int64
 	progressNext  int64
 
-	// Personality knobs (personality.go): search-heuristic variations a
-	// portfolio racer configures per instance. The zero values reproduce
-	// the baseline solver exactly; New sets the nonzero defaults.
-	randState   uint64  // xorshift64 state for random decisions, 0 disables
-	randFreq    uint32  // random-decision probability in 2^-32 units
-	phaseTrue   bool    // fresh variables default to phase true
-	varDecayInv float64 // VSIDS activity decay factor (default 0.95)
-	geomRestart bool    // geometric restart schedule instead of Luby
-	restartBase int     // first restart interval in conflicts (default 100)
-	restartGrow float64 // geometric interval growth factor (default 1.5)
-
-	// Cooperative cancellation (personality.go): cancel is a token shared
-	// by the members of a portfolio race; search polls it once per loop
-	// iteration, alongside the conflict-budget check. canceled records
-	// whether the last Solve's Unknown came from the token rather than the
-	// budget.
+	// Cooperative cancellation (SetCancel): search polls the token once
+	// per loop iteration, alongside the conflict-budget check. canceled
+	// records whether the last Solve's Unknown came from the token rather
+	// than the budget.
 	cancel   *atomic.Bool
 	canceled bool
 
@@ -214,18 +202,24 @@ type Solver struct {
 // New returns an empty solver.
 func New() *Solver {
 	return &Solver{
-		varInc:      1.0,
-		clauseInc:   1.0,
-		ok:          true,
-		budget:      -1,
-		budgetLim:   -1,
-		maxLearnts:  4000,
-		learntCap:   defaultLearntCap,
-		varDecayInv: 0.95,
-		restartBase: 100,
-		restartGrow: 1.5,
+		varInc:     1.0,
+		clauseInc:  1.0,
+		ok:         true,
+		budget:     -1,
+		budgetLim:  -1,
+		maxLearnts: 4000,
+		learntCap:  defaultLearntCap,
 	}
 }
+
+// Search heuristics: VSIDS activity decays by varDecayFactor per
+// conflict, restart round i allows luby(i)*restartBase conflicts, fresh
+// variables branch false first, and every decision follows the activity
+// order (no random branching).
+const (
+	varDecayFactor = 0.95
+	restartBase    = 100
+)
 
 // defaultLearntCap bounds the learnt-clause database. Without it the
 // reduction threshold grows 5% per restart forever, which is harmless for
@@ -254,7 +248,7 @@ func (s *Solver) NewVar() int {
 	v := len(s.assigns)
 	s.assigns = append(s.assigns, lUndef)
 	s.vardata = append(s.vardata, varData{reason: crefUndef})
-	s.polarity = append(s.polarity, !s.phaseTrue) // default phase false (polarity=negated) unless the personality flips it
+	s.polarity = append(s.polarity, true) // default phase false (polarity=negated)
 	s.activity = append(s.activity, 0)
 	s.watches = append(s.watches, nil, nil)
 	s.seen = append(s.seen, 0)
@@ -271,6 +265,18 @@ func (s *Solver) NewVar() int {
 // identical whether checks share one solver or run on separate instances.
 // A negative value removes the limit.
 func (s *Solver) SetBudget(conflicts int64) { s.budget = conflicts }
+
+// SetCancel installs a cancellation token: once c becomes true, any
+// in-flight or future Solve returns Unknown at its next search-loop check
+// — the same cooperative mechanism the conflict budget uses. A nil token
+// removes cancellation. The solver stays consistent after a cancelled
+// Solve (the deferred backtrack to level 0 still runs), so a shared
+// incremental solver answers later queries normally once the token clears.
+func (s *Solver) SetCancel(c *atomic.Bool) { s.cancel = c }
+
+// Canceled reports whether the last Solve returned Unknown because the
+// cancellation token fired, as opposed to exhausting its conflict budget.
+func (s *Solver) Canceled() bool { return s.canceled }
 
 func (s *Solver) value(l Lit) lbool {
 	v := s.assigns[l.Var()]
@@ -500,7 +506,7 @@ func (s *Solver) varBump(v int) {
 	s.order.decrease(s, v)
 }
 
-func (s *Solver) varDecay() { s.varInc /= s.varDecayInv }
+func (s *Solver) varDecay() { s.varInc /= varDecayFactor }
 
 func (s *Solver) clauseBump(r cref) {
 	a := s.ca.act(r) + s.clauseInc
@@ -801,21 +807,6 @@ func luby(x int) float64 {
 	return math.Pow(2, float64(seq))
 }
 
-// restartInterval returns the conflict allowance of restart round i under
-// the configured schedule: Luby times base (the baseline, luby(i)*100) or
-// a geometric series, clamped so long geometric runs cannot overflow.
-func (s *Solver) restartInterval(i int) int {
-	base := float64(s.restartBase)
-	if !s.geomRestart {
-		return int(luby(i) * base)
-	}
-	v := base * math.Pow(s.restartGrow, float64(i))
-	if v > 1e9 {
-		v = 1e9
-	}
-	return int(v)
-}
-
 // search runs CDCL until a restart, a verdict, or budget exhaustion.
 func (s *Solver) search(maxConflicts int) Status {
 	conflicts := 0
@@ -901,32 +892,8 @@ func (s *Solver) search(maxConflicts int) Status {
 }
 
 func (s *Solver) pickBranchVar() int {
-	if s.randState != 0 && s.randFreq != 0 && uint32(s.nextRand()) < s.randFreq {
-		if v := s.pickRandomVar(); v != -1 {
-			return v
-		}
-	}
 	for !s.order.empty() {
 		v := s.order.pop(s)
-		if s.assigns[v] == lUndef && !s.elimed[v] {
-			return v
-		}
-	}
-	return -1
-}
-
-// pickRandomVar probes a bounded number of uniformly random variables for
-// an unassigned, uneliminated one; -1 when every probe misses, in which
-// case the caller falls back to the activity order. The chosen variable
-// may still sit in the order heap — pop skips assigned variables, so a
-// later pop simply passes over it or reuses it once unassigned again.
-func (s *Solver) pickRandomVar() int {
-	n := s.NumVars()
-	if n == 0 {
-		return -1
-	}
-	for probes := 0; probes < 8; probes++ {
-		v := int(s.nextRand() % uint64(n))
 		if s.assigns[v] == lUndef && !s.elimed[v] {
 			return v
 		}
@@ -969,7 +936,7 @@ func (s *Solver) Solve(assumptions ...Lit) Status {
 
 	s.lubyIdx = 0
 	for {
-		maxC := s.restartInterval(s.lubyIdx)
+		maxC := int(luby(s.lubyIdx) * restartBase)
 		s.lubyIdx++
 		st := s.search(maxC)
 		switch st {

@@ -2,8 +2,10 @@ package sat
 
 import (
 	"math/rand"
+	"sync/atomic"
 	"testing"
 	"testing/quick"
+	"time"
 )
 
 func TestTrivialSat(t *testing.T) {
@@ -445,5 +447,98 @@ func TestLearntCapAndDeletion(t *testing.T) {
 	}
 	if int64(len(s.learnts))+s.Deleted != s.Learnt {
 		t.Errorf("retained %d + deleted %d != learnt %d", len(s.learnts), s.Deleted, s.Learnt)
+	}
+}
+
+// TestCancelPreSet: a token that is already true cancels the very first
+// search round, and Canceled distinguishes the cause from a budget stop.
+func TestCancelPreSet(t *testing.T) {
+	rng := rand.New(rand.NewSource(7))
+	s := New()
+	var tok atomic.Bool
+	tok.Store(true)
+	s.SetCancel(&tok)
+	for i := 0; i < 40; i++ {
+		s.NewVar()
+	}
+	for _, cl := range randomCNF(rng, 40, 160, 3) {
+		if !s.AddClause(cl...) {
+			t.Skip("instance trivially unsat at level 0")
+		}
+	}
+	if st := s.Solve(); st != Unknown {
+		t.Fatalf("pre-set token: Solve = %v, want Unknown", st)
+	}
+	if !s.Canceled() {
+		t.Fatal("Canceled() = false after token-driven Unknown")
+	}
+	// Clearing the token makes the same solver answer normally, and the
+	// verdict resets the canceled flag.
+	tok.Store(false)
+	if st := s.Solve(); st == Unknown {
+		t.Fatal("cleared token: still Unknown")
+	}
+	if s.Canceled() {
+		t.Fatal("Canceled() sticky across a completed Solve")
+	}
+}
+
+// TestCancelMidSolve fires the token from another goroutine while the
+// solver grinds a hard formula; Solve must return Unknown promptly.
+func TestCancelMidSolve(t *testing.T) {
+	rng := rand.New(rand.NewSource(11))
+	s := New()
+	var tok atomic.Bool
+	s.SetCancel(&tok)
+	// Hard random instance near the phase transition; big enough that a
+	// verdict inside the test's grace period is implausible.
+	nVars := 300
+	for i := 0; i < nVars; i++ {
+		s.NewVar()
+	}
+	for _, cl := range randomCNF(rng, nVars, int(4.26*float64(nVars)), 3) {
+		if !s.AddClause(cl...) {
+			t.Skip("instance trivially unsat at level 0")
+		}
+	}
+	go func() {
+		time.Sleep(20 * time.Millisecond)
+		tok.Store(true)
+	}()
+	done := make(chan Status, 1)
+	go func() { done <- s.Solve() }()
+	select {
+	case st := <-done:
+		if st == Unknown && !s.Canceled() {
+			t.Fatal("Unknown without Canceled()")
+		}
+	case <-time.After(10 * time.Second):
+		t.Fatal("cancellation did not stop the solver")
+	}
+}
+
+// TestBudgetUnknownIsNotCanceled pins the disambiguation Canceled exists
+// for: budget exhaustion yields Unknown with Canceled() == false.
+func TestBudgetUnknownIsNotCanceled(t *testing.T) {
+	rng := rand.New(rand.NewSource(13))
+	s := New()
+	var tok atomic.Bool
+	s.SetCancel(&tok)
+	s.SetBudget(5)
+	nVars := 200
+	for i := 0; i < nVars; i++ {
+		s.NewVar()
+	}
+	for _, cl := range randomCNF(rng, nVars, int(4.26*float64(nVars)), 3) {
+		if !s.AddClause(cl...) {
+			t.Skip("instance trivially unsat at level 0")
+		}
+	}
+	st := s.Solve()
+	if st != Unknown {
+		t.Skipf("instance solved within 5 conflicts (%v)", st)
+	}
+	if s.Canceled() {
+		t.Fatal("budget Unknown reported as canceled")
 	}
 }

@@ -57,26 +57,10 @@ func (s *Solver) SetPreprocess(on bool) { s.sat.SetPreprocess(on) }
 // simplification alone proves the asserted constraints unsatisfiable.
 func (s *Solver) Preprocess() bool { return s.sat.Preprocess() }
 
-// Personality re-exports the SAT core's search-heuristic configuration for
-// portfolio racing; see sat.Personality.
-type Personality = sat.Personality
-
-// Portfolio returns k racing personalities; index 0 is always the exact
-// baseline solver.
-func Portfolio(k int) []Personality { return sat.Portfolio(k) }
-
-// SetPersonality applies search-heuristic knobs to the underlying SAT
-// core. Verdicts are unaffected; only the path to them changes.
-func (s *Solver) SetPersonality(p Personality) { s.sat.SetPersonality(p) }
-
-// SetCancel installs a shared cancellation token on the SAT core: once it
+// SetCancel installs a cancellation token on the SAT core: once it
 // becomes true, in-flight and future checks return Unknown at the next
 // cooperative poll. nil removes the token.
 func (s *Solver) SetCancel(c *atomic.Bool) { s.sat.SetCancel(c) }
-
-// Canceled reports whether the last check's Unknown came from the
-// cancellation token rather than the conflict budget.
-func (s *Solver) Canceled() bool { return s.sat.Canceled() }
 
 // Stats returns (decisions, conflicts, propagations) of the underlying SAT
 // solver.

@@ -28,7 +28,6 @@ type runHists struct {
 	conflicts obs.Histogram // per-check SAT conflicts
 	learnt    obs.Histogram // learnt-clause sizes (folded from the SAT core)
 	sliceDrop obs.Histogram // per-assertion slice-drop percentage
-	raceWaste obs.Histogram // per raced check, cancelled-racer CPU µs
 }
 
 // observeCheck records one check's wall time, conflicts, and
@@ -49,16 +48,6 @@ func (h *runHists) observeCheck(ss smt.SolverStats, wall time.Duration) {
 			sum = 0
 		}
 	}
-}
-
-// observeRaceWaste records one raced check's cancelled-racer CPU. A zero
-// observation still counts: the histogram's count is the raced-check
-// total, so sum/count is mean waste per race.
-func (h *runHists) observeRaceWaste(waste time.Duration) {
-	if h == nil {
-		return
-	}
-	h.raceWaste.Observe(waste.Microseconds())
 }
 
 // observeSlice records one assertion's conjuncts-dropped percentage.
@@ -83,7 +72,6 @@ func (h *runHists) stats() []HistogramStat {
 		{obs.HistCheckConflicts, &h.conflicts},
 		{obs.HistLearntSize, &h.learnt},
 		{obs.HistSliceDropPct, &h.sliceDrop},
-		{obs.HistRaceWasteUS, &h.raceWaste},
 	} {
 		s := e.h.Snapshot()
 		if s.Count == 0 {
@@ -105,7 +93,6 @@ func (h *runHists) mergeInto(r *obs.Registry) {
 	r.Histogram(obs.HistCheckConflicts).Merge(h.conflicts.Snapshot())
 	r.Histogram(obs.HistLearntSize).Merge(h.learnt.Snapshot())
 	r.Histogram(obs.HistSliceDropPct).Merge(h.sliceDrop.Snapshot())
-	r.Histogram(obs.HistRaceWasteUS).Merge(h.raceWaste.Snapshot())
 }
 
 // recordCheck publishes one check's full flight-recorder record: the

@@ -144,3 +144,38 @@ func TestIncrementalBudgetExhaustion(t *testing.T) {
 			want, got)
 	}
 }
+
+// TestIncrementalHammer drives the shared-solver fan-out hard enough for
+// the -race CI job to see the interleavings: eight shard solvers blast
+// concurrently from the frozen context and every Sat is re-solved by a
+// fresh solver on the same DAG. Canonical bytes must match the serial
+// fresh baseline every time.
+func TestIncrementalHammer(t *testing.T) {
+	prog, spec := dcGateway(t)
+	base, err := Run(prog, nil, spec, Options{FindAll: true, Parallel: 1})
+	if err != nil {
+		t.Fatalf("baseline: %v", err)
+	}
+	want, err := base.CanonicalJSON()
+	if err != nil {
+		t.Fatalf("canonical: %v", err)
+	}
+	iters := 3
+	if testing.Short() {
+		iters = 1
+	}
+	for it := 0; it < iters; it++ {
+		rep, err := Run(prog, nil, spec, Options{FindAll: true, Parallel: 8,
+			Incremental: true, Preprocess: true, Slice: true})
+		if err != nil {
+			t.Fatalf("iter %d: %v", it, err)
+		}
+		got, err := rep.CanonicalJSON()
+		if err != nil {
+			t.Fatalf("iter %d: canonical: %v", it, err)
+		}
+		if !bytes.Equal(got, want) {
+			t.Errorf("iter %d: hammer report differs from baseline", it)
+		}
+	}
+}

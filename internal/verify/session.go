@@ -69,8 +69,7 @@ type Session struct {
 	// (frozen) indicator on the current solver; retiring a condition
 	// unfreezes its indicator, and re-checking a retired condition simply
 	// re-freezes it, so no condition ever forces a rebuild.
-	solver *smt.Solver
-	prev   smt.SolverStats
+	solver *sharedSolver
 	live   map[*smt.Term]bool
 
 	cache []sessionEntry
@@ -248,23 +247,14 @@ func (s *Session) Close() {
 // dropSolver discards the warm shared solver and its bookkeeping.
 func (s *Session) dropSolver() {
 	s.solver = nil
-	s.prev = smt.SolverStats{}
 	s.live = map[*smt.Term]bool{}
 }
 
 // ensureSolver returns the warm shared solver, creating it on first use
 // and after Compact.
-func (s *Session) ensureSolver() *smt.Solver {
+func (s *Session) ensureSolver() *sharedSolver {
 	if s.solver == nil {
-		s.solver = smt.NewSolver(s.ctx)
-		if s.opts.Budget > 0 {
-			s.solver.SetBudget(s.opts.Budget)
-		}
-		if s.opts.Preprocess {
-			s.solver.SetPreprocess(true)
-		}
-		s.opts.installCancel(s.solver)
-		s.prev = smt.SolverStats{}
+		s.solver = &sharedSolver{Solver: s.opts.newSolver(s.ctx, s.opts.Preprocess)}
 	}
 	return s.solver
 }
@@ -318,9 +308,7 @@ func (s *Session) run(delta *tables.Delta) (*Report, error) {
 	checkConds := make([]*smt.Term, len(conds))
 	c0, d0 := s.slicer.Conjuncts, s.slicer.Dropped
 	for i, v := range conds {
-		a0, b0 := s.slicer.Conjuncts, s.slicer.Dropped
-		checkConds[i] = s.slicer.slice(v)
-		rep.hists.observeSlice(s.slicer.Conjuncts-a0, s.slicer.Dropped-b0)
+		checkConds[i] = rep.sliceOne(s.slicer, v)
 	}
 	endSlice()
 	rep.Stats.SliceConjuncts = s.slicer.Conjuncts - c0
@@ -335,61 +323,34 @@ func (s *Session) run(delta *tables.Delta) (*Report, error) {
 	for i, v := range conds {
 		ce := &s.cache[i]
 		checkCond := checkConds[i]
-
-		st, model, replayed := s.replay(ce, v, checkCond)
-		var ss smt.SolverStats
-		var cpu time.Duration
+		var out checkOut
 		var viol *Violation
-		if replayed {
+		if st, ok := s.replay(ce, v, checkCond); ok {
+			out.status = st
+			viol = ce.violation
 			rep.Stats.DeltaReuse++
 			s.stats.ReuseHits++
-			viol = ce.violation
 			o.Event("delta_replay", map[string]any{
 				"label": v.Label, "status": statusString(st),
 			})
 		} else {
-			st, model, ss, cpu = s.recheck(v, checkCond)
-			rep.Stats.SolveCPU += cpu
-			rep.Stats.addSolver(ss)
+			out = s.recheck(v, checkCond)
 			rep.Stats.DeltaRecheck++
 			s.stats.Rechecks++
-			rep.recordCheck(o, v.Label, 0, ss, st, cpu)
-			if st == smt.Sat {
-				viol = rep.makeViolation(v, model)
+			rep.recordCheck(o, v.Label, 0, out.ss, out.status, out.cpu)
+			if out.status == smt.Sat {
+				viol = rep.makeViolation(v, out.model)
 			}
 		}
 		*ce = sessionEntry{
 			label:      v.Label,
 			fullCond:   v.Cond,
 			slicedCond: checkCond,
-			status:     st,
+			status:     out.status,
 			violation:  viol,
 		}
-		rep.Stats.PerAssertion = append(rep.Stats.PerAssertion, AssertionCost{
-			Label:        v.Label,
-			Status:       statusString(st),
-			SolveTime:    cpu,
-			Conflicts:    ss.Conflicts,
-			Decisions:    ss.Decisions,
-			Propagations: ss.Propagations,
-			Restarts:     ss.Restarts,
-			CNFClauses:   ss.Clauses,
-			SATVars:      ss.SATVars,
-		})
-		o.Event("assertion", map[string]any{
-			"label": v.Label, "status": statusString(st),
-			"solve_us": cpu.Microseconds(), "conflicts": ss.Conflicts,
-			"clauses": ss.Clauses, "session": true,
-		})
-		if st == smt.Unknown {
-			o.Event("budget_exhausted", map[string]any{
-				"label": v.Label, "budget": s.opts.Budget,
-			})
-			runErr = ErrBudget
+		if runErr = rep.consume(o, s.opts.Budget, v.Label, &out, viol); runErr != nil {
 			break
-		}
-		if st == smt.Sat {
-			rep.Violations = append(rep.Violations, viol)
 		}
 	}
 	current := make(map[*smt.Term]bool, len(checkConds))
@@ -419,23 +380,19 @@ func (s *Session) run(delta *tables.Delta) (*Report, error) {
 // reused without touching a solver. Unknown verdicts never replay: they
 // are budget artifacts, and the warm solver's accumulated clauses may
 // resolve them on a re-check.
-func (s *Session) replay(ce *sessionEntry, v *gcl.Violation, checkCond *smt.Term) (smt.Status, *smt.Model, bool) {
+func (s *Session) replay(ce *sessionEntry, v *gcl.Violation, checkCond *smt.Term) (smt.Status, bool) {
 	if ce.label != v.Label || ce.fullCond == nil {
-		return 0, nil, false
+		return 0, false
 	}
 	if ce.fullCond == v.Cond && (ce.status == smt.Sat || ce.status == smt.Unsat) {
-		var m *smt.Model
-		if ce.violation != nil {
-			m = ce.violation.Model
-		}
-		return ce.status, m, true
+		return ce.status, true
 	}
 	// Unsat(K) implies Unsat(K ∧ D') — the slice K and every possible
 	// dropped remainder D' have disjoint variable supports.
 	if ce.slicedCond == checkCond && ce.status == smt.Unsat {
-		return smt.Unsat, nil, true
+		return smt.Unsat, true
 	}
-	return 0, nil, false
+	return 0, false
 }
 
 // recheck solves one condition on the warm shared solver with the
@@ -443,12 +400,11 @@ func (s *Session) replay(ce *sessionEntry, v *gcl.Violation, checkCond *smt.Term
 // retired condition recurring here is fine: checkOneShared's Indicator
 // call re-freezes the variable, restoring it if preprocessing had
 // eliminated it in the meantime.
-func (s *Session) recheck(v *gcl.Violation, checkCond *smt.Term) (smt.Status, *smt.Model, smt.SolverStats, time.Duration) {
-	solver := s.ensureSolver()
+func (s *Session) recheck(v *gcl.Violation, checkCond *smt.Term) checkOut {
 	rep := &Report{Ctx: s.ctx} // carrier for the shared check helpers
-	st, model, ss, cpu, _ := rep.checkOneShared(s.opts, v, checkCond, 0, solver, &s.prev)
+	out := rep.checkOneShared(s.opts, v, checkCond, 0, s.ensureSolver())
 	s.live[checkCond] = true
-	return st, model, ss, cpu
+	return out
 }
 
 // retireStale releases the indicators of conditions superseded in this

@@ -391,8 +391,8 @@ func median(ds []time.Duration) time.Duration {
 }
 
 // TestSessionValidateOptions pins the churn-mode flag matrix: every
-// engine that freezes, releases, or races over the term context is
-// rejected up front with an error naming the conflict.
+// engine that freezes or releases the term context is rejected up front
+// with an error naming the conflict.
 func TestSessionValidateOptions(t *testing.T) {
 	ok := Options{Session: true, FindAll: true, Parallel: 1}
 	if err := ok.Validate(); err != nil {
@@ -406,8 +406,6 @@ func TestSessionValidateOptions(t *testing.T) {
 		{"find-first", Options{Session: true}, "find-all"},
 		{"incremental", Options{Session: true, FindAll: true, Incremental: true}, "-incremental"},
 		{"stream", Options{Session: true, FindAll: true, Stream: true}, "-stream"},
-		{"steal", Options{Session: true, FindAll: true, Schedule: ScheduleSteal}, "steal"},
-		{"portfolio", Options{Session: true, FindAll: true, Portfolio: 4}, "-portfolio"},
 		{"parallel", Options{Session: true, FindAll: true, Parallel: 8}, "-parallel"},
 	}
 	for _, tc := range bad {

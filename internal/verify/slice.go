@@ -2,7 +2,6 @@ package verify
 
 import (
 	"aquila/internal/gcl"
-	"aquila/internal/obs"
 	"aquila/internal/smt"
 )
 
@@ -57,27 +56,13 @@ func newSlicer(ctx *smt.Ctx) *slicer {
 	return &slicer{ctx: ctx, memo: map[int][]*smt.Term{}, support: map[int][]int{}}
 }
 
-// sliceConds fills checkConds with the cone-of-influence slice of every
-// violation condition, records the totals in the report stats, and
-// publishes them to the metrics registry. It creates terms, so it must run
-// serially before the context freezes; both find-all engines call it as
-// their first phase when Options.Slice is set.
-func (rep *Report) sliceConds(opts Options, conds []*gcl.Violation, checkConds []*smt.Term) {
-	o := opts.Observer()
-	endSlice := o.Phase(0, "slice")
-	sl := newSlicer(rep.Ctx)
-	for i, v := range conds {
-		c0, d0 := sl.Conjuncts, sl.Dropped
-		checkConds[i] = sl.slice(v)
-		rep.hists.observeSlice(sl.Conjuncts-c0, sl.Dropped-d0)
-	}
-	endSlice()
-	rep.Stats.SliceConjuncts = sl.Conjuncts
-	rep.Stats.SliceDropped = sl.Dropped
-	if o != nil && o.Metrics != nil {
-		o.Metrics.Counter(obs.CtrVerifySliceDropped).Add(sl.Dropped)
-	}
-	o.Event("slice", map[string]any{"conjuncts": sl.Conjuncts, "dropped": sl.Dropped})
+// sliceOne returns the cone-of-influence slice of v's condition and
+// records the assertion's slice-drop ratio in the run histograms.
+func (rep *Report) sliceOne(sl *slicer, v *gcl.Violation) *smt.Term {
+	c0, d0 := sl.Conjuncts, sl.Dropped
+	t := sl.slice(v)
+	rep.hists.observeSlice(sl.Conjuncts-c0, sl.Dropped-d0)
+	return t
 }
 
 // flattenAnd splits t's And-tree into its non-And leaves, left to right.

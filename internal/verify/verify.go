@@ -61,15 +61,15 @@ type Options struct {
 	// byte-identical to unsliced mode. Ignored in find-first mode, which
 	// solves one disjunction over all assertions.
 	Slice bool
-	// Stream makes find-all fresh-solver runs release transient terms as
-	// they go: each assertion is sliced, checked, and consumed one at a
-	// time, and the term arena is rolled back to a pre-slicing watermark
-	// once enough per-assertion slice terms have accumulated — so peak term
-	// memory is bounded by the VC plus one assertion's transients instead
-	// of growing with the whole run. Verdicts and canonical reports are
-	// byte-identical to plain fresh mode. Forces the serial path (a frozen
-	// shared context cannot release); ignored in find-first and incremental
-	// modes, which have no transient per-assertion terms to shed.
+	// Stream is a memory policy of the serial find-all path: each
+	// assertion is sliced, checked, and consumed one at a time, and the
+	// term arena is rolled back to a pre-slicing watermark once enough
+	// per-assertion slice terms have accumulated — so peak term memory is
+	// bounded by the VC plus one assertion's transients instead of growing
+	// with the whole run. Verdicts and canonical reports are byte-identical
+	// to plain fresh mode. Requires the serial path (a frozen shared
+	// context cannot release) and fresh solvers (shared solvers keep
+	// references to released terms); ignored in find-first mode.
 	Stream bool
 	// Parallel is the number of worker goroutines for find-all checks and
 	// localization re-checks: 0 means runtime.GOMAXPROCS(0), 1 forces the
@@ -77,38 +77,21 @@ type Options struct {
 	// assertion is checked by a deterministic fresh solver over the shared
 	// frozen term DAG, and results are aggregated in assertion order.
 	Parallel int
-	// Schedule selects the find-all work-distribution strategy:
-	// ScheduleStatic (the default) or ScheduleSteal, the work-stealing
-	// scheduler (scheduler.go). Canonical reports are byte-identical
-	// across schedules; steal mode is incompatible with Incremental
-	// (whose static-shard determinism it would break) and Stream.
-	Schedule Schedule
-	// Portfolio is the number of solver personalities raced per find-all
-	// check (portfolio.go): 0 or 1 disables racing; K > 1 launches K
-	// diverse solvers under a shared cancellation token and takes the
-	// first verdict. Sat answers are re-solved by a plain fresh solver, so
-	// canonical reports are byte-identical at every K; budget-limited
-	// (Unknown) verdicts are the documented exception, as in incremental
-	// mode. Requires FindAll; incompatible with Incremental and Stream.
-	Portfolio int
 	// Session marks the options as driving a warm delta re-verification
 	// session (session.go / the -churn CLI mode). The session engine is
 	// serial by construction — it keeps one term context, one persistent
 	// slicer, and one warm shared solver alive across table deltas — so
-	// it requires find-all mode and rejects every engine that freezes,
-	// releases, or races over the context. NewSession sets it; the CLIs
-	// set it for flag validation before the session is built.
+	// it requires find-all mode and rejects every engine that freezes or
+	// releases the context. NewSession sets it; the CLIs set it for flag
+	// validation before the session is built.
 	Session bool
 	// Cancel, when non-nil, is a cooperative cancellation token installed
-	// on the checking solvers of the fresh find-all and session engines
-	// (the paths aquila-serve drives): storing true makes in-flight and
-	// future checks return Unknown at the solver's next poll, which the
-	// driver reports as ErrBudget exactly like conflict-budget exhaustion.
-	// aquila-serve maps per-request verification deadlines onto it. The
-	// portfolio racer keeps its own internal token, so Cancel is rejected
-	// with Portfolio > 1 rather than silently overwritten. nil (the
-	// default) installs nothing and leaves verdicts and canonical report
-	// bytes untouched.
+	// on every checking solver: storing true makes in-flight and future
+	// checks return Unknown at the solver's next poll, which the driver
+	// reports as ErrBudget exactly like conflict-budget exhaustion.
+	// aquila-serve maps per-request verification deadlines onto it. nil
+	// (the default) installs nothing and leaves verdicts and canonical
+	// report bytes untouched.
 	Cancel *atomic.Bool
 	// Obs attaches observability sinks (tracer, metrics, structured log).
 	// nil falls back to the process default (set by the CLIs); when that is
@@ -117,46 +100,10 @@ type Options struct {
 	Obs *obs.Obs
 }
 
-// Schedule selects the find-all work-distribution strategy.
-type Schedule int
-
-const (
-	// ScheduleStatic is the default: fresh mode fans out via dynamic
-	// atomic-counter assignment (ForEachWorker), incremental mode uses
-	// index-modulo static shards (StaticShards).
-	ScheduleStatic Schedule = iota
-	// ScheduleSteal routes checks through the work-stealing scheduler:
-	// per-worker queues seeded largest-first from the static shard split;
-	// a worker whose queue drains steals the largest remaining item from
-	// the other queues.
-	ScheduleSteal
-)
-
-func (s Schedule) String() string {
-	if s == ScheduleSteal {
-		return "steal"
-	}
-	return "static"
-}
-
-// ParseSchedule maps the CLI -schedule flag values to a Schedule.
-func ParseSchedule(s string) (Schedule, error) {
-	switch s {
-	case "", "static":
-		return ScheduleStatic, nil
-	case "steal":
-		return ScheduleSteal, nil
-	}
-	return 0, fmt.Errorf("verify: unknown schedule %q (want static or steal)", s)
-}
-
 // Validate rejects incompatible engine combinations up front, with an
 // error naming the conflict, instead of one mode silently winning. Run and
 // RunWithEnv call it, so every CLI inherits the same rejections.
 func (o Options) Validate() error {
-	if o.Portfolio < 0 {
-		return fmt.Errorf("verify: portfolio must be >= 0, got %d", o.Portfolio)
-	}
 	if o.Stream {
 		if o.Incremental {
 			return fmt.Errorf("verify: -stream and -incremental are incompatible (streaming releases terms the incremental engine's shared solvers still reference)")
@@ -164,31 +111,6 @@ func (o Options) Validate() error {
 		if o.Parallel > 1 {
 			return fmt.Errorf("verify: -stream is incompatible with -parallel %d (streaming releases terms from the arena, which a frozen shared context cannot do; use -parallel 1)", o.Parallel)
 		}
-		if o.Portfolio > 1 {
-			return fmt.Errorf("verify: -stream is incompatible with -portfolio %d (racers share the term DAG, which streaming releases mid-run)", o.Portfolio)
-		}
-		if o.Schedule == ScheduleSteal {
-			return fmt.Errorf("verify: -stream is incompatible with -schedule steal (streaming is single-worker by construction)")
-		}
-	}
-	if o.Schedule == ScheduleSteal {
-		if o.Incremental {
-			return fmt.Errorf("verify: -schedule steal is incompatible with -incremental (incremental shards rely on a static, reproducible assertion sequence per shared solver; stealing has its own per-worker solver reuse)")
-		}
-		if !o.FindAll {
-			return fmt.Errorf("verify: -schedule steal requires find-all mode (-all); find-first is a single query")
-		}
-	}
-	if o.Portfolio > 1 {
-		if !o.FindAll {
-			return fmt.Errorf("verify: -portfolio %d requires find-all mode (-all); find-first is a single query", o.Portfolio)
-		}
-		if o.Incremental {
-			return fmt.Errorf("verify: -portfolio is incompatible with -incremental (racing a shard's shared solver would make its accumulated state schedule-dependent; use -schedule steal for solver reuse with racing)")
-		}
-	}
-	if o.Cancel != nil && o.Portfolio > 1 {
-		return fmt.Errorf("verify: a cancellation token is incompatible with -portfolio %d (racers install their own shared token, which would silently replace it)", o.Portfolio)
 	}
 	if o.Session {
 		if !o.FindAll {
@@ -200,17 +122,30 @@ func (o Options) Validate() error {
 		if o.Stream {
 			return fmt.Errorf("verify: -churn is incompatible with -stream (streaming releases terms the session's caches and warm solver still reference)")
 		}
-		if o.Schedule == ScheduleSteal {
-			return fmt.Errorf("verify: -churn is incompatible with -schedule steal (the session engine is serial by construction)")
-		}
-		if o.Portfolio > 1 {
-			return fmt.Errorf("verify: -churn is incompatible with -portfolio %d (racers need a frozen context; the session's context must stay mutable to re-encode deltas)", o.Portfolio)
-		}
 		if o.Parallel > 1 {
 			return fmt.Errorf("verify: -churn is incompatible with -parallel %d (a frozen shared context cannot re-encode deltas; use -parallel 1)", o.Parallel)
 		}
 	}
 	return nil
+}
+
+// newSolver builds a checking solver over ctx with the run's conflict
+// budget and cancellation token installed, and CNF preprocessing when
+// preprocess is set. Every solver the package checks with comes from
+// here; canonicalizing re-solves pass false, since they are the plain
+// baseline solver by design.
+func (o Options) newSolver(ctx *smt.Ctx, preprocess bool) *smt.Solver {
+	s := smt.NewSolver(ctx)
+	if o.Budget > 0 {
+		s.SetBudget(o.Budget)
+	}
+	if preprocess {
+		s.SetPreprocess(true)
+	}
+	if o.Cancel != nil {
+		s.SetCancel(o.Cancel)
+	}
+	return s
 }
 
 // Observer resolves the effective sink: the explicit Options.Obs, else the
@@ -354,20 +289,6 @@ type Stats struct {
 	Stream         bool
 	StreamReleases int64
 	ReleasedTerms  int64
-
-	// Schedule names the find-all scheduler when it is not the static
-	// default ("steal"); Steals counts checks executed by a worker other
-	// than their static owner (zero with static scheduling).
-	Schedule string
-	Steals   int64
-	// Portfolio is the racer count per check (0 with racing off).
-	// RacesWon counts raced checks some racer decided; RacesLost counts
-	// the racers beaten or cancelled in those races; CancelledCPU totals
-	// the CPU cancelled racers burned before the token stopped them.
-	Portfolio    int
-	RacesWon     int64
-	RacesLost    int64
-	CancelledCPU time.Duration
 
 	// DeltaReuse and DeltaRecheck are the session engine's per-Apply
 	// split: assertions whose verdict was replayed from the session cache
@@ -602,15 +523,6 @@ func RunWithEnv(ctx *smt.Ctx, env *encode.Env, spec *lpi.Spec, opts Options) (*R
 		o.Metrics.Counter(obs.CtrSMTFrozenLocks).Add(f1 - frozen0)
 		o.Metrics.Gauge(obs.GaugeTermNodes).Set(int64(rep.Stats.TermNodes))
 		o.Metrics.Gauge(obs.GaugeVerifyWorkers).Set(int64(rep.Stats.Workers))
-		if rep.Stats.Schedule == "steal" {
-			o.Metrics.Counter(obs.CtrVerifySteals).Add(rep.Stats.Steals)
-		}
-		if rep.Stats.Portfolio > 1 {
-			o.Metrics.Gauge(obs.GaugeVerifyPortfolio).Set(int64(rep.Stats.Portfolio))
-			o.Metrics.Counter(obs.CtrVerifyRacesWon).Add(rep.Stats.RacesWon)
-			o.Metrics.Counter(obs.CtrVerifyRacesLost).Add(rep.Stats.RacesLost)
-			o.Metrics.Counter(obs.CtrVerifyCancelledUS).Add(rep.Stats.CancelledCPU.Microseconds())
-		}
 	}
 	return rep, err
 }
@@ -631,19 +543,19 @@ func (rep *Report) check(opts Options) error {
 	if !opts.FindAll {
 		return rep.checkFirst(opts)
 	}
-	if opts.Incremental {
-		return rep.checkAllIncremental(opts)
-	}
-	if opts.Stream {
-		return rep.checkAllStream(opts)
-	}
-	if opts.Schedule == ScheduleSteal {
-		return rep.checkAllSteal(opts)
-	}
 	return rep.checkAll(opts)
 }
 
-// checkOne is the find-all unit of work: check one (possibly sliced)
+// checkOut is one assertion's result in the find-all engines.
+type checkOut struct {
+	done   bool
+	status smt.Status
+	model  *smt.Model
+	ss     smt.SolverStats
+	cpu    time.Duration
+}
+
+// checkOne is the fresh-solver unit of work: check one (possibly sliced)
 // condition with a deterministic fresh solver. A Sat under preprocessing
 // or a transformed condition is confirmed on the ORIGINAL condition by a
 // plain fresh solver, so verdicts and counterexamples match the baseline
@@ -651,136 +563,120 @@ func (rep *Report) check(opts Options) error {
 // dropped (variable-disjoint) remainder was unsatisfiable on its own —
 // the assertion holds, exactly the unsliced verdict. The re-check's cost
 // is folded into the assertion's stats.
-func (rep *Report) checkOne(opts Options, v *gcl.Violation, checkCond *smt.Term, worker int) (st smt.Status, model *smt.Model, ss smt.SolverStats, cpu time.Duration) {
+func (rep *Report) checkOne(opts Options, v *gcl.Violation, checkCond *smt.Term, worker int) (out checkOut) {
 	o := opts.Observer()
-	solver := smt.NewSolver(rep.Ctx)
-	if opts.Budget > 0 {
-		solver.SetBudget(opts.Budget)
-	}
-	if opts.Preprocess {
-		solver.SetPreprocess(true)
-	}
-	opts.installCancel(solver)
+	solver := opts.newSolver(rep.Ctx, opts.Preprocess)
 	installProgress(o, solver, v.Label, worker)
 	t0 := time.Now()
-	st = solver.Check(checkCond)
-	cpu = time.Since(t0)
-	ss = solver.SolverStats()
-	if st != smt.Sat {
-		return
+	out.status = solver.Check(checkCond)
+	out.cpu = time.Since(t0)
+	out.ss = solver.SolverStats()
+	if out.status != smt.Sat {
+		return out
 	}
 	if opts.Preprocess || checkCond != v.Cond {
-		s2 := smt.NewSolver(rep.Ctx)
-		if opts.Budget > 0 {
-			s2.SetBudget(opts.Budget)
-		}
-		opts.installCancel(s2)
+		s2 := opts.newSolver(rep.Ctx, false)
 		installProgress(o, s2, v.Label, worker)
 		t1 := time.Now()
-		st2 := s2.Check(v.Cond)
-		cpu += time.Since(t1)
-		ss = addStats(ss, s2.SolverStats())
-		st = st2
-		if st2 == smt.Sat {
-			m := s2.Model()
-			s2.ModelCollect(m, v.Cond)
-			model = m
-		}
-		return
+		out.status = s2.Check(v.Cond)
+		out.cpu += time.Since(t1)
+		out.ss = addStats(out.ss, s2.SolverStats())
+		solver = s2
 	}
-	m := solver.Model()
-	solver.ModelCollect(m, v.Cond)
-	model = m
-	return
+	if out.status == smt.Sat {
+		out.model = solver.Model()
+		solver.ModelCollect(out.model, v.Cond)
+	}
+	return out
 }
 
-// installCancel installs the run-wide cancellation token on a checking
-// solver (a no-op without one). Solver-creation sites call it right after
-// the budget install, so a fired deadline stops the transformed check and
-// the canonicalizing re-solve alike.
-func (o Options) installCancel(s *smt.Solver) {
-	if o.Cancel != nil {
-		s.SetCancel(o.Cancel)
-	}
+// sharedSolver is a long-lived solver answering many checks through
+// activation literals: one per incremental shard, and the Session's warm
+// solver. prev is its rolling stats snapshot for per-check deltas.
+type sharedSolver struct {
+	*smt.Solver
+	prev smt.SolverStats
+	// prefix is the largest single-check Tseitin delta: the check that
+	// first touches the real VC blasts the whole shared prefix and later
+	// checks reuse its CNF, so the largest delta is that one-time cost (a
+	// plain "first check" would under-report when an early condition
+	// simplifies to a constant and blasts nothing).
+	prefix int64
 }
 
-// checkOneShared is the shared-solver unit of work the incremental and
-// steal engines use for a worker's own checks: check one (possibly
+// checkOneShared is the shared-solver unit of work: check one (possibly
 // transformed) condition on a long-lived solver via an activation literal,
 // then make the verdict canonical exactly as fresh mode would — a Sat is
 // re-solved on the ORIGINAL condition by a deterministic fresh solver, a
 // sliced Sat whose full condition is Unsat becomes Unsat (the dropped,
 // variable-disjoint remainder was unsatisfiable on its own), and a
 // contradicting re-check surfaces as Unknown rather than fabricating a
-// model. prev is the shared solver's rolling stats snapshot; ss is this
-// check's delta including any re-check cost, while sharedTseitin is the
-// delta's Tseitin clauses alone (the callers' shard-prefix accounting must
-// not see the fresh re-solve's blast).
-func (rep *Report) checkOneShared(opts Options, v *gcl.Violation, checkCond *smt.Term, worker int, solver *smt.Solver, prev *smt.SolverStats) (st smt.Status, model *smt.Model, ss smt.SolverStats, cpu time.Duration, sharedTseitin int64) {
+// model. The result's stats are this check's delta including any re-check
+// cost; sh.prefix sees the shared solver's own Tseitin delta only.
+func (rep *Report) checkOneShared(opts Options, v *gcl.Violation, checkCond *smt.Term, worker int, sh *sharedSolver) (out checkOut) {
 	o := opts.Observer()
-	installProgress(o, solver, v.Label, worker)
+	installProgress(o, sh.Solver, v.Label, worker)
 	t0 := time.Now()
-	lit := solver.Indicator(checkCond)
-	st = solver.CheckLits(lit)
-	cpu = time.Since(t0)
-	cur := solver.SolverStats()
-	ss = statsDelta(cur, *prev)
-	*prev = cur
-	sharedTseitin = ss.TseitinClauses
-	if st != smt.Sat {
-		return
+	lit := sh.Indicator(checkCond)
+	out.status = sh.CheckLits(lit)
+	out.cpu = time.Since(t0)
+	cur := sh.SolverStats()
+	out.ss = statsDelta(cur, sh.prev)
+	sh.prev = cur
+	sh.prefix = max(sh.prefix, out.ss.TseitinClauses)
+	if out.status != smt.Sat {
+		return out
 	}
-	s2 := smt.NewSolver(rep.Ctx)
-	if opts.Budget > 0 {
-		s2.SetBudget(opts.Budget)
-	}
-	opts.installCancel(s2)
+	s2 := opts.newSolver(rep.Ctx, false)
 	installProgress(o, s2, v.Label, worker)
 	t1 := time.Now()
 	st2 := s2.Check(v.Cond)
-	cpu += time.Since(t1)
-	ss = addStats(ss, s2.SolverStats())
+	out.cpu += time.Since(t1)
+	out.ss = addStats(out.ss, s2.SolverStats())
 	switch {
 	case st2 == smt.Sat:
-		m := s2.Model()
-		s2.ModelCollect(m, v.Cond)
-		model = m
+		out.model = s2.Model()
+		s2.ModelCollect(out.model, v.Cond)
 	case st2 == smt.Unsat && opts.Slice:
-		st = smt.Unsat
+		out.status = smt.Unsat
 	default:
-		st = smt.Unknown
+		out.status = smt.Unknown
 	}
-	return
+	return out
 }
 
-// checkOut is one assertion's result slot in the find-all engines.
-type checkOut struct {
-	done   bool
-	stolen bool // executed by a worker other than its static owner
-	status smt.Status
-	model  *smt.Model
-	ss     smt.SolverStats
-	cpu    time.Duration
-	// Race tallies (zero with racing off); see raceOutcome.
-	won, lost int64
-	waste     time.Duration
-}
-
-// fill copies a race outcome into the slot.
-func (out *checkOut) fill(rc raceOutcome) {
-	out.status, out.model, out.ss, out.cpu = rc.status, rc.model, rc.ss, rc.cpu
-	out.won, out.lost, out.waste = rc.won, rc.lost, rc.waste
-}
-
-// foldRace folds a consumed slot's race and steal tallies into the run
-// totals. Like PerAssertion, the totals cover the consumed prefix.
-func (st *Stats) foldRace(out *checkOut) {
-	st.RacesWon += out.won
-	st.RacesLost += out.lost
-	st.CancelledCPU += out.waste
-	if out.stolen {
-		st.Steals++
+// consume folds one checked assertion into the report, in assertion
+// order: its cost row, its "assertion" event, and its violation (viol,
+// non-nil iff the verdict is Sat). A budget Unknown ends the run: consume
+// logs it and returns ErrBudget, and the caller stops there. Every
+// find-all engine — the check loop and the Session — consumes through it.
+func (rep *Report) consume(o *obs.Obs, budget int64, label string, out *checkOut, viol *Violation) error {
+	rep.Stats.SolveCPU += out.cpu
+	rep.Stats.addSolver(out.ss)
+	rep.Stats.PerAssertion = append(rep.Stats.PerAssertion, AssertionCost{
+		Label:        label,
+		Status:       statusString(out.status),
+		SolveTime:    out.cpu,
+		Conflicts:    out.ss.Conflicts,
+		Decisions:    out.ss.Decisions,
+		Propagations: out.ss.Propagations,
+		Restarts:     out.ss.Restarts,
+		CNFClauses:   out.ss.Clauses,
+		SATVars:      out.ss.SATVars,
+	})
+	o.Event("assertion", map[string]any{
+		"label": label, "status": statusString(out.status),
+		"solve_us": out.cpu.Microseconds(), "conflicts": out.ss.Conflicts,
+		"clauses": out.ss.Clauses,
+	})
+	if out.status == smt.Unknown {
+		o.Event("budget_exhausted", map[string]any{"label": label, "budget": budget})
+		return ErrBudget
 	}
+	if viol != nil {
+		rep.Violations = append(rep.Violations, viol)
+	}
+	return nil
 }
 
 // checkFirst runs the §8.1 find-first mode: one query over the disjunction
@@ -788,13 +684,7 @@ func (st *Stats) foldRace(out *checkOut) {
 func (rep *Report) checkFirst(opts Options) error {
 	ctx := rep.Ctx
 	o := opts.Observer()
-	solver := smt.NewSolver(ctx)
-	if opts.Budget > 0 {
-		solver.SetBudget(opts.Budget)
-	}
-	if opts.Preprocess {
-		solver.SetPreprocess(true)
-	}
+	solver := opts.newSolver(ctx, opts.Preprocess)
 	rep.Stats.Workers = 1
 
 	disj := ctx.False()
@@ -829,10 +719,7 @@ func (rep *Report) checkFirst(opts Options) error {
 		// solver — and the model picks which assertion find-first reports.
 		// Re-solve the disjunction with a plain fresh solver and use its
 		// deterministic model so reports match the unpreprocessed baseline.
-		s2 := smt.NewSolver(ctx)
-		if opts.Budget > 0 {
-			s2.SetBudget(opts.Budget)
-		}
+		s2 := opts.newSolver(ctx, false)
 		installProgress(o, s2, "all-assertions", 0)
 		t1 := time.Now()
 		st2 := s2.Check(disj)
@@ -863,10 +750,7 @@ func (rep *Report) checkFirst(opts Options) error {
 	// rather than emitting an unusable "unknown" violation.
 	assignment := modelAssignment(ctx, m, disj)
 	for _, v := range rep.Result.Violations {
-		s2 := smt.NewSolver(ctx)
-		if opts.Budget > 0 {
-			s2.SetBudget(opts.Budget)
-		}
+		s2 := opts.newSolver(ctx, false)
 		installProgress(o, s2, v.Label, 0)
 		t1 := time.Now()
 		st2 := s2.Check(ctx.And(assignment, v.Cond))
@@ -899,66 +783,133 @@ func modelAssignment(ctx *smt.Ctx, m *smt.Model, t *smt.Term) *smt.Term {
 	return cond
 }
 
+// streamReleaseMin gates arena rollback under Options.Stream: a release
+// rebuilds the intern table over the surviving prefix, so it only pays
+// off once a meaningful burst of transient terms has accumulated past the
+// watermark. Package variable so tests can force releases on programs far
+// smaller than the production VCs the policy exists for.
+var streamReleaseMin = 1024
+
 // checkAll runs the §5.1/§8.1 find-all mode: every violation condition is
-// checked independently. Checks fan out across a worker pool over the
-// frozen term context; every assertion gets its own deterministic fresh
-// solver blasting from the shared read-only DAG, so the report is
-// byte-identical at every Parallel setting. Results are aggregated in
-// assertion order.
+// checked independently, in three steps.
+//
+//  1. Prepare the check conditions, serially while the context may still
+//     intern: cone-of-influence slices (Options.Slice) and, for shared
+//     solvers, algebraic simplification (Options.Simplify).
+//  2. With more than one worker, freeze the context and run the workers.
+//     The solver policy picks the queue: fresh solvers (the default) take
+//     the next index from a shared counter (ForEachWorker); shared solvers
+//     (Options.Incremental) each walk one StaticShards shard in ascending
+//     order, so the assertion sequence a solver accumulates state over is
+//     reproducible. Workers stop at the lowest budget-exhausted index.
+//  3. Consume the results in assertion order through consume, up to the
+//     first budget Unknown. Checks the workers did not run — every check
+//     on the serial path — run inline here under the same policy, so the
+//     consumed prefix is identical at every Parallel setting.
+//
+// Stream is a memory policy of the serial path: conditions are sliced
+// lazily in step 3, and the arena is rolled back to a pre-slicing
+// watermark after a consume once enough transients have accumulated, so
+// peak term memory is the VC plus one assertion's transients. Slices are
+// rebuilt identically after a purge (hash-consing), so nothing a report
+// shows depends on when releases happen.
+//
+// Determinism: every verdict is semantic and every Sat is re-solved on
+// the original condition by the same deterministic fresh solver, so
+// canonical reports are byte-identical across worker counts, solver
+// policies and the stream policy. Budget-exhaustion (Unknown) verdicts are
+// the one exception: learned clauses change how far a budget reaches, so
+// with shared solvers they can differ between worker counts (documented in
+// DESIGN.md).
 func (rep *Report) checkAll(opts Options) error {
+	ctx := rep.Ctx
 	conds := rep.Result.Violations
 	n := len(conds)
-	workers := opts.Workers()
-	if workers > n {
-		workers = n
-	}
-	if workers < 1 {
-		workers = 1
+	o := opts.Observer()
+	workers := max(1, min(opts.Workers(), n))
+	if opts.Stream {
+		workers = 1 // Parallel 0 (GOMAXPROCS) passes Validate
 	}
 	rep.Stats.Workers = workers
-	if opts.Portfolio > 1 {
-		rep.Stats.Portfolio = opts.Portfolio
+	rep.Stats.Stream = opts.Stream
+	if opts.Incremental {
+		rep.Stats.Incremental = true
+		rep.Stats.Shards = workers
+		if o != nil && o.Metrics != nil {
+			o.Metrics.Gauge(obs.GaugeVerifyShards).Set(int64(workers))
+		}
 	}
-	o := opts.Observer()
 
-	// Cone-of-influence slices are computed serially before the context may
-	// freeze (slicing creates terms). With the flag off every checkCond is
-	// the original condition and the paths below are unchanged.
+	// Step 1: prepare the check conditions.
+	var mark int
+	var released0 int64
+	if opts.Stream {
+		mark, released0 = ctx.Mark(), ctx.ReleasedTerms()
+	}
 	checkConds := make([]*smt.Term, n)
 	for i, v := range conds {
 		checkConds[i] = v.Cond
 	}
+	var sl *slicer
 	if opts.Slice {
-		rep.sliceConds(opts, conds, checkConds)
+		sl = newSlicer(ctx)
+		if !opts.Stream {
+			endSlice := o.Phase(0, "slice")
+			for i, v := range conds {
+				checkConds[i] = rep.sliceOne(sl, v)
+			}
+			endSlice()
+		}
+	}
+	if opts.Incremental && opts.Simplify {
+		endSimp := o.Phase(0, "simplify")
+		simp := smt.NewSimplifier(ctx)
+		for i, c := range checkConds {
+			checkConds[i] = simp.Simplify(c)
+		}
+		endSimp()
+		rep.Stats.SimplifyRewrites = simp.Rewrites
+		if o != nil && o.Metrics != nil {
+			o.Metrics.Counter(obs.CtrSMTSimplifyRewrites).Add(simp.Rewrites)
+		}
+		o.Event("simplify", map[string]any{"rewrites": simp.Rewrites})
 	}
 
 	outs := make([]checkOut, n)
-
+	// shared holds the shared-solver policy's solvers: shared[s] serves
+	// shard s on the workers; the serial path creates shared[0] on first use.
+	var shared []*sharedSolver
+	newShared := func() {
+		shared = append(shared, &sharedSolver{Solver: opts.newSolver(ctx, opts.Preprocess)})
+	}
 	// limit is the lowest assertion index seen to exhaust the budget;
 	// workers skip checks at or beyond it so every worker stops promptly.
-	limit := int64(n)
-
-	runCheck := func(worker, i int) {
+	var limit atomic.Int64
+	limit.Store(int64(n))
+	runCheck := func(worker, i int, sh *sharedSolver) {
 		v := conds[i]
-		endSpan := o.Span(worker, "solve:"+v.Label)
 		out := &outs[i]
-		if opts.Portfolio > 1 {
-			out.fill(rep.raceOne(opts, v, checkConds[i], worker, nil))
+		endSpan := o.Span(worker, "solve:"+v.Label)
+		if sh != nil {
+			*out = rep.checkOneShared(opts, v, checkConds[i], worker, sh)
 		} else {
-			out.status, out.model, out.ss, out.cpu = rep.checkOne(opts, v, checkConds[i], worker)
+			*out = rep.checkOne(opts, v, checkConds[i], worker)
 		}
 		endSpan()
 		rep.recordCheck(o, v.Label, worker, out.ss, out.status, out.cpu)
 		out.done = true
+		if out.status != smt.Unknown {
+			return
+		}
+		for {
+			cur := limit.Load()
+			if int64(i) >= cur || limit.CompareAndSwap(cur, int64(i)) {
+				return
+			}
+		}
 	}
 
-	if workers > 1 || opts.Portfolio > 1 {
-		// The context becomes shared read-only state; blasting and model
-		// extraction never intern, and any stray term creation serializes.
-		// Portfolio racing needs this even on one worker: the racers are
-		// concurrent goroutines over the same DAG.
-		rep.Ctx.Freeze()
-	}
+	// Step 2: the workers.
 	if workers > 1 {
 		if o != nil && o.Tracer != nil {
 			o.Tracer.NameThread(0, "main")
@@ -966,61 +917,93 @@ func (rep *Report) checkAll(opts Options) error {
 				o.Tracer.NameThread(w, fmt.Sprintf("worker-%d", w))
 			}
 		}
-		ForEachWorker(workers, n, func(worker, i int) {
-			if int64(i) >= atomic.LoadInt64(&limit) {
-				return
+		// The context becomes shared read-only state; blasting and model
+		// extraction never intern, and any stray term creation serializes.
+		ctx.Freeze()
+		if opts.Incremental {
+			shards := StaticShards(workers, n)
+			for range shards {
+				newShared()
 			}
-			runCheck(worker, i)
-			if outs[i].status == smt.Unknown {
-				for {
-					cur := atomic.LoadInt64(&limit)
-					if int64(i) >= cur || atomic.CompareAndSwapInt64(&limit, cur, int64(i)) {
-						break
+			var wg sync.WaitGroup
+			for s, idx := range shards {
+				wg.Add(1)
+				go func() {
+					defer wg.Done()
+					for _, i := range idx {
+						if int64(i) >= limit.Load() {
+							break
+						}
+						runCheck(s+1, i, shared[s])
 					}
-				}
+				}()
 			}
-		})
+			wg.Wait()
+		} else {
+			ForEachWorker(workers, n, func(worker, i int) {
+				if int64(i) < limit.Load() {
+					runCheck(worker, i, nil)
+				}
+			})
+		}
 	}
 
-	// Consume results in assertion order; any check skipped by the early
-	// stop (or by workers == 1, which skips the fan-out entirely) runs
-	// inline here, so the consumed prefix is identical at every Parallel
-	// setting: violations up to the first budget-exhausted check. Inline
-	// re-runs use worker/tid 0 (the consume loop runs on the caller).
+	// Step 3: consume in assertion order. A shard only skips indices at or
+	// beyond the final limit, so with shared solvers every consumed check
+	// already ran; the serial path runs each check here, on one shared
+	// solver walking the single shard in order.
 	var err error
 	for i, v := range conds {
-		if !outs[i].done {
-			runCheck(0, i)
-		}
 		out := &outs[i]
-		rep.Stats.SolveCPU += out.cpu
-		rep.Stats.addSolver(out.ss)
-		rep.Stats.foldRace(out)
-		rep.Stats.PerAssertion = append(rep.Stats.PerAssertion, AssertionCost{
-			Label:        v.Label,
-			Status:       statusString(out.status),
-			SolveTime:    out.cpu,
-			Conflicts:    out.ss.Conflicts,
-			Decisions:    out.ss.Decisions,
-			Propagations: out.ss.Propagations,
-			Restarts:     out.ss.Restarts,
-			CNFClauses:   out.ss.Clauses,
-			SATVars:      out.ss.SATVars,
-		})
-		o.Event("assertion", map[string]any{
-			"label": v.Label, "status": statusString(out.status),
-			"solve_us": out.cpu.Microseconds(), "conflicts": out.ss.Conflicts,
-			"clauses": out.ss.Clauses,
-		})
-		if out.status == smt.Unknown {
-			o.Event("budget_exhausted", map[string]any{
-				"label": v.Label, "budget": opts.Budget,
-			})
-			err = ErrBudget
+		if !out.done {
+			if opts.Stream && sl != nil {
+				endSlice := o.Span(0, "slice:"+v.Label)
+				checkConds[i] = rep.sliceOne(sl, v)
+				endSlice()
+			}
+			var sh *sharedSolver
+			if opts.Incremental {
+				if len(shared) == 0 {
+					newShared()
+				}
+				sh = shared[0]
+			}
+			runCheck(0, i, sh)
+		}
+		// The counterexample is rendered here, before any stream release:
+		// the model is name-keyed and v.Cond predates the watermark, so the
+		// stored Violation retains no released pointers.
+		var viol *Violation
+		if out.status == smt.Sat {
+			viol = rep.makeViolation(v, out.model)
+		}
+		if err = rep.consume(o, opts.Budget, v.Label, out, viol); err != nil {
 			break
 		}
-		if out.status == smt.Sat {
-			rep.Violations = append(rep.Violations, rep.makeViolation(v, out.model))
+		if opts.Stream && !ctx.Frozen() && ctx.NumTerms()-mark >= streamReleaseMin {
+			if sl != nil {
+				sl.purge(mark)
+			}
+			ctx.Release(mark)
+			rep.Stats.StreamReleases++
+		}
+	}
+
+	for _, sh := range shared {
+		rep.Stats.PrefixClauses += sh.prefix
+	}
+	if sl != nil {
+		rep.Stats.SliceConjuncts = sl.Conjuncts
+		rep.Stats.SliceDropped = sl.Dropped
+		if o != nil && o.Metrics != nil {
+			o.Metrics.Counter(obs.CtrVerifySliceDropped).Add(sl.Dropped)
+		}
+		o.Event("slice", map[string]any{"conjuncts": sl.Conjuncts, "dropped": sl.Dropped})
+	}
+	if opts.Stream {
+		rep.Stats.ReleasedTerms = ctx.ReleasedTerms() - released0
+		if o != nil && o.Metrics != nil {
+			o.Metrics.Counter(obs.CtrSMTTermsReleased).Add(rep.Stats.ReleasedTerms)
 		}
 	}
 	return err
@@ -1050,184 +1033,6 @@ func StaticShards(shards, n int) [][]int {
 		out[i%shards] = append(out[i%shards], i)
 	}
 	return out
-}
-
-// checkAllIncremental is find-all with shared solvers ("blast once, check
-// many"): assertions are statically sharded by index across workers, each
-// shard owns one incremental solver, and every assertion is checked via an
-// activation literal (Solver.Indicator + CheckLits) so the blasted CNF of
-// the shared VC prefix and all learned clauses persist across the shard's
-// checks. With Simplify set, the algebraic simplification pass rewrites
-// all conditions over the shared DAG first.
-//
-// Determinism: sat/unsat verdicts are semantic, so they match fresh mode
-// and are identical at every worker count. Counterexample models from a
-// shared solver would depend on the shard's accumulated state, so each
-// violated assertion is re-solved on its ORIGINAL condition by a
-// deterministic fresh solver — the exact procedure fresh mode uses — which
-// makes violations and counterexamples byte-identical to fresh mode.
-// Budget-exhaustion (Unknown) verdicts are the one exception: learned
-// clauses change how far a budget reaches, so they can differ between
-// modes and worker counts (documented in DESIGN.md).
-func (rep *Report) checkAllIncremental(opts Options) error {
-	conds := rep.Result.Violations
-	n := len(conds)
-	workers := opts.Workers()
-	if workers > n {
-		workers = n
-	}
-	if workers < 1 {
-		workers = 1
-	}
-	rep.Stats.Workers = workers
-	rep.Stats.Incremental = true
-	rep.Stats.Shards = workers
-	o := opts.Observer()
-
-	// Phase 1 (serial, before any sharing): slice, then simplify, the
-	// conditions over the common hash-consed DAG. Done once; every shard
-	// blasts the smaller forms.
-	checkConds := make([]*smt.Term, n)
-	for i, v := range conds {
-		checkConds[i] = v.Cond
-	}
-	if opts.Slice {
-		rep.sliceConds(opts, conds, checkConds)
-	}
-	if opts.Simplify {
-		endSimp := o.Phase(0, "simplify")
-		simp := smt.NewSimplifier(rep.Ctx)
-		for i, c := range checkConds {
-			checkConds[i] = simp.Simplify(c)
-		}
-		endSimp()
-		rep.Stats.SimplifyRewrites = simp.Rewrites
-		if o != nil && o.Metrics != nil {
-			o.Metrics.Counter(obs.CtrSMTSimplifyRewrites).Add(simp.Rewrites)
-		}
-		o.Event("simplify", map[string]any{"rewrites": simp.Rewrites})
-	}
-
-	outs := make([]checkOut, n)
-	prefixClauses := make([]int64, workers) // dominating one-check Tseitin delta per shard
-
-	// limit is the lowest assertion index seen to exhaust the budget;
-	// shards stop at it (their remaining indices are all larger).
-	limit := int64(n)
-
-	// runShard walks the shard's indices in ascending order on one shared
-	// solver. worker is the tracer tid (0 for the serial inline path).
-	runShard := func(worker, shard int, indices []int) {
-		solver := smt.NewSolver(rep.Ctx)
-		if opts.Budget > 0 {
-			solver.SetBudget(opts.Budget)
-		}
-		if opts.Preprocess {
-			solver.SetPreprocess(true)
-		}
-		var prev smt.SolverStats
-		for _, i := range indices {
-			if int64(i) >= atomic.LoadInt64(&limit) {
-				break
-			}
-			v := conds[i]
-			out := &outs[i]
-			endSpan := o.Span(worker, "solve:"+v.Label)
-			var sharedTseitin int64
-			out.status, out.model, out.ss, out.cpu, sharedTseitin =
-				rep.checkOneShared(opts, v, checkConds[i], worker, solver, &prev)
-			if sharedTseitin > prefixClauses[shard] {
-				// The check that first touches the real VC blasts the whole
-				// shared prefix; later checks reuse its CNF. The largest
-				// single-check delta is that one-time cost (a plain "first
-				// check" would under-report when an early condition
-				// simplifies to a constant and blasts nothing).
-				prefixClauses[shard] = sharedTseitin
-			}
-			endSpan()
-			rep.recordCheck(o, v.Label, worker, out.ss, out.status, out.cpu)
-			if out.status == smt.Unknown {
-				for {
-					cur := atomic.LoadInt64(&limit)
-					if int64(i) >= cur || atomic.CompareAndSwapInt64(&limit, cur, int64(i)) {
-						break
-					}
-				}
-			}
-		}
-	}
-
-	shards := StaticShards(workers, n)
-	if workers > 1 {
-		if o != nil && o.Tracer != nil {
-			o.Tracer.NameThread(0, "main")
-			for w := 1; w <= workers; w++ {
-				o.Tracer.NameThread(w, fmt.Sprintf("worker-%d", w))
-			}
-		}
-		// The context becomes shared read-only state (simplification above
-		// already happened); blasting and model extraction never intern,
-		// and any stray term creation serializes.
-		rep.Ctx.Freeze()
-		var wg sync.WaitGroup
-		for s := range shards {
-			wg.Add(1)
-			go func(shard int) {
-				defer wg.Done()
-				runShard(shard+1, shard, shards[shard])
-			}(s)
-		}
-		wg.Wait()
-	} else if len(shards) > 0 {
-		runShard(0, 0, shards[0])
-	}
-	for _, pc := range prefixClauses {
-		rep.Stats.PrefixClauses += pc
-	}
-	if o != nil && o.Metrics != nil {
-		o.Metrics.Gauge(obs.GaugeVerifyShards).Set(int64(workers))
-	}
-
-	// Consume in assertion order; stop at the first budget-exhausted
-	// check. Every index below the final limit was processed by its
-	// owning shard (a shard only skips indices at or beyond the limit),
-	// so the consumed prefix is complete.
-	var err error
-	for i, v := range conds {
-		if int64(i) > atomic.LoadInt64(&limit) {
-			break
-		}
-		out := &outs[i]
-		rep.Stats.SolveCPU += out.cpu
-		rep.Stats.addSolver(out.ss)
-		rep.Stats.PerAssertion = append(rep.Stats.PerAssertion, AssertionCost{
-			Label:        v.Label,
-			Status:       statusString(out.status),
-			SolveTime:    out.cpu,
-			Conflicts:    out.ss.Conflicts,
-			Decisions:    out.ss.Decisions,
-			Propagations: out.ss.Propagations,
-			Restarts:     out.ss.Restarts,
-			CNFClauses:   out.ss.Clauses,
-			SATVars:      out.ss.SATVars,
-		})
-		o.Event("assertion", map[string]any{
-			"label": v.Label, "status": statusString(out.status),
-			"solve_us": out.cpu.Microseconds(), "conflicts": out.ss.Conflicts,
-			"clauses": out.ss.Clauses, "incremental": true,
-		})
-		if out.status == smt.Unknown {
-			o.Event("budget_exhausted", map[string]any{
-				"label": v.Label, "budget": opts.Budget,
-			})
-			err = ErrBudget
-			break
-		}
-		if out.status == smt.Sat {
-			rep.Violations = append(rep.Violations, rep.makeViolation(v, out.model))
-		}
-	}
-	return err
 }
 
 func (rep *Report) makeViolation(v *gcl.Violation, m *smt.Model) *Violation {
@@ -1369,16 +1174,6 @@ func (rep *Report) String() string {
 		fmt.Fprintf(&b, "delta: %d verdicts replayed, %d rechecked\n",
 			rep.Stats.DeltaReuse, rep.Stats.DeltaRecheck)
 	}
-	if rep.Stats.Schedule != "" || rep.Stats.Portfolio > 1 {
-		sched := rep.Stats.Schedule
-		if sched == "" {
-			sched = "static"
-		}
-		fmt.Fprintf(&b, "sched: %s scheduling, %d steals, portfolio %d, %d races won / %d racers beaten, %v cancelled cpu\n",
-			sched, rep.Stats.Steals, rep.Stats.Portfolio,
-			rep.Stats.RacesWon, rep.Stats.RacesLost,
-			rep.Stats.CancelledCPU.Round(time.Millisecond))
-	}
 	return b.String()
 }
 
@@ -1443,15 +1238,6 @@ type JSONStats struct {
 	Stream         bool  `json:"stream,omitempty"`
 	StreamReleases int64 `json:"stream_releases,omitempty"`
 	ReleasedTerms  int64 `json:"released_terms,omitempty"`
-
-	// Scheduler / portfolio extras (absent with static scheduling and
-	// racing off, and in canonical reports).
-	Schedule       string `json:"schedule,omitempty"`
-	Steals         int64  `json:"steals,omitempty"`
-	Portfolio      int    `json:"portfolio,omitempty"`
-	RacesWon       int64  `json:"races_won,omitempty"`
-	RacesLost      int64  `json:"races_lost,omitempty"`
-	CancelledCPUMS int64  `json:"cancelled_cpu_ms,omitempty"`
 
 	// Session-engine extras (absent outside Session.Apply reports and in
 	// canonical reports).
@@ -1524,13 +1310,6 @@ func (rep *Report) JSON() ([]byte, error) {
 			StreamReleases: rep.Stats.StreamReleases,
 			ReleasedTerms:  rep.Stats.ReleasedTerms,
 
-			Schedule:       rep.Stats.Schedule,
-			Steals:         rep.Stats.Steals,
-			Portfolio:      rep.Stats.Portfolio,
-			RacesWon:       rep.Stats.RacesWon,
-			RacesLost:      rep.Stats.RacesLost,
-			CancelledCPUMS: rep.Stats.CancelledCPU.Milliseconds(),
-
 			DeltaReuse:   rep.Stats.DeltaReuse,
 			DeltaRecheck: rep.Stats.DeltaRecheck,
 		},
@@ -1568,62 +1347,29 @@ func (rep *Report) JSON() ([]byte, error) {
 	return json.MarshalIndent(out, "", "  ")
 }
 
-// CanonicalJSON renders the report with every cost-dependent field zeroed:
-// wall-clock times, SAT search counters, CNF/term sizes, and the
-// per-assertion cost columns (labels and statuses are kept). What remains
-// — verdict, violations, counterexamples, assertion labels and statuses,
-// GCL size — is the *semantic* outcome of verification, which is
-// deterministic across runs, across Parallel settings, with or without
-// observability sinks, and (the incremental-engine contract) identical
-// between fresh-solver and incremental modes: two canonical reports of
-// the same verification problem compare byte-for-byte. Cost counters are
-// deliberately excluded because solver sharing changes them — that is the
-// optimization, not a behavioural difference; the raw JSON() report keeps
-// them all.
+// CanonicalJSON renders the report's semantic outcome: the verdict, the
+// assertion count, the violations with their counterexamples, the GCL
+// size, and each assertion's label and status. It is built from those
+// fields alone, so every cost field (wall times, SAT search counters,
+// CNF/term sizes, histograms) renders as zero or is omitted, whatever
+// counters Stats grows. The result is deterministic across runs, across
+// Parallel settings, with or without observability sinks, and between
+// fresh-solver and incremental modes: two canonical reports of the same
+// verification problem compare byte-for-byte. Cost counters are excluded
+// because solver sharing changes them — that is the optimization, not a
+// behavioural difference; the raw JSON() report keeps them all.
 func (rep *Report) CanonicalJSON() ([]byte, error) {
-	canon := *rep
-	canon.Stats.EncodeTime = 0
-	canon.Stats.SolveTime = 0
-	canon.Stats.SolveCPU = 0
-	canon.Stats.TermNodes = 0
-	canon.Stats.CNFClauses = 0
-	canon.Stats.SATVars = 0
-	canon.Stats.Conflicts = 0
-	canon.Stats.Decisions = 0
-	canon.Stats.Propagations = 0
-	canon.Stats.Restarts = 0
-	canon.Stats.LearntClauses = 0
-	canon.Stats.LearntLits = 0
-	canon.Stats.LearntDeleted = 0
-	canon.Stats.TseitinClauses = 0
-	canon.Stats.BlastHits = 0
-	canon.Stats.Incremental = false
-	canon.Stats.Shards = 0
-	canon.Stats.SimplifyRewrites = 0
-	canon.Stats.PrefixClauses = 0
-	canon.Stats.ElimVars = 0
-	canon.Stats.SubsumedClauses = 0
-	canon.Stats.StrengthenedClauses = 0
-	canon.Stats.SliceConjuncts = 0
-	canon.Stats.SliceDropped = 0
-	canon.Stats.Stream = false
-	canon.Stats.StreamReleases = 0
-	canon.Stats.ReleasedTerms = 0
-	canon.Stats.Schedule = ""
-	canon.Stats.Steals = 0
-	canon.Stats.Portfolio = 0
-	canon.Stats.RacesWon = 0
-	canon.Stats.RacesLost = 0
-	canon.Stats.CancelledCPU = 0
-	canon.Stats.DeltaReuse = 0
-	canon.Stats.DeltaRecheck = 0
-	canon.Stats.Histograms = nil
-	if len(canon.Stats.PerAssertion) > 0 {
-		pa := make([]AssertionCost, len(canon.Stats.PerAssertion))
-		for i, a := range canon.Stats.PerAssertion {
-			pa[i] = AssertionCost{Label: a.Label, Status: a.Status}
-		}
-		canon.Stats.PerAssertion = pa
+	canon := Report{
+		Holds:      rep.Holds,
+		Violations: rep.Violations,
+		Stats: Stats{
+			Assertions: rep.Stats.Assertions,
+			GCLSize:    rep.Stats.GCLSize,
+		},
+	}
+	for _, a := range rep.Stats.PerAssertion {
+		canon.Stats.PerAssertion = append(canon.Stats.PerAssertion,
+			AssertionCost{Label: a.Label, Status: a.Status})
 	}
 	return canon.JSON()
 }

@@ -1,12 +1,16 @@
 package verify
 
 import (
+	"bytes"
+	"errors"
 	"strings"
+	"sync/atomic"
 	"testing"
 
 	"aquila/internal/encode"
 	"aquila/internal/lpi"
 	"aquila/internal/p4"
+	"aquila/internal/progs"
 	"aquila/internal/tables"
 )
 
@@ -811,5 +815,112 @@ program {
 	}
 	if rep2.Holds || len(rep2.Violations) < 5 {
 		t.Fatalf("broken steering must cascade (got %d violations)", len(rep2.Violations))
+	}
+}
+
+// TestOptionsValidate pins the incompatible-combination errors every CLI
+// surfaces instead of silently preferring one mode: one row per Stream
+// and Session rule.
+func TestOptionsValidate(t *testing.T) {
+	ok := []Options{
+		{},
+		{FindAll: true, Incremental: true, Parallel: 4},
+		{FindAll: true, Stream: true, Parallel: 1},
+		{FindAll: true, Session: true, Parallel: 1},
+	}
+	for i, o := range ok {
+		if err := o.Validate(); err != nil {
+			t.Errorf("ok[%d] %+v: unexpected error %v", i, o, err)
+		}
+	}
+	bad := []struct {
+		opts Options
+		frag string
+	}{
+		{Options{FindAll: true, Stream: true, Incremental: true}, "-stream"},
+		{Options{FindAll: true, Stream: true, Parallel: 4}, "-stream"},
+		{Options{Session: true}, "find-all"},
+		{Options{FindAll: true, Session: true, Incremental: true}, "-incremental"},
+		{Options{FindAll: true, Session: true, Stream: true}, "-stream"},
+		{Options{FindAll: true, Session: true, Parallel: 4}, "-parallel"},
+	}
+	for i, c := range bad {
+		err := c.opts.Validate()
+		if err == nil {
+			t.Errorf("bad[%d] %+v: Validate() = nil, want error", i, c.opts)
+			continue
+		}
+		if !strings.Contains(err.Error(), c.frag) {
+			t.Errorf("bad[%d]: error %q does not mention %q", i, err, c.frag)
+		}
+	}
+	// RunWithEnv must refuse before doing any work.
+	prog, spec := dcGateway(t)
+	if _, err := Run(prog, nil, spec, Options{FindAll: true, Stream: true, Parallel: 4}); err == nil {
+		t.Error("Run accepted -stream with -parallel > 1")
+	}
+}
+
+// TestCancelEveryEngine: a pre-set Options.Cancel token reaches every
+// checking solver, so each engine reports ErrBudget instead of a verdict
+// — find-first and its preprocessed re-solve included.
+func TestCancelEveryEngine(t *testing.T) {
+	prog, spec := dcGateway(t)
+	for _, c := range []struct {
+		name string
+		opts Options
+	}{
+		{"find-first", Options{}},
+		{"find-first-preprocess", Options{Preprocess: true}},
+		{"fresh-w1", Options{FindAll: true, Parallel: 1}},
+		{"fresh-w2", Options{FindAll: true, Parallel: 2}},
+		{"incremental-w1", Options{FindAll: true, Incremental: true, Parallel: 1}},
+		{"incremental-w2", Options{FindAll: true, Incremental: true, Parallel: 2}},
+		{"stream", Options{FindAll: true, Parallel: 1, Stream: true, Preprocess: true, Slice: true}},
+	} {
+		var tok atomic.Bool
+		tok.Store(true)
+		opts := c.opts
+		opts.Cancel = &tok
+		if _, err := Run(prog, nil, spec, opts); !errors.Is(err, ErrBudget) {
+			t.Errorf("%s: pre-set cancel token: err = %v, want ErrBudget", c.name, err)
+		}
+	}
+}
+
+// TestRunByteStableAcrossRuns pins cross-Run determinism: two independent
+// Runs of the same program in the same process must produce identical
+// canonical bytes. The skewed-telemetry program is the regression case —
+// its adder-identity guard has symmetric counterexample candidates, so
+// any map-iteration-order leak into term construction (gcl's branch merge
+// once had one) shows up as a flipped model here. The bench sweeps and
+// the CI canonical-bytes smoke compare reports across processes; this is
+// the contract they stand on.
+func TestRunByteStableAcrossRuns(t *testing.T) {
+	bm := progs.SkewedBench()
+	prog, err := bm.Parse()
+	if err != nil {
+		t.Fatal(err)
+	}
+	spec, err := lpi.Parse(progs.InvalidHeaderAccessSpec(prog, bm.Calls))
+	if err != nil {
+		t.Fatal(err)
+	}
+	opts := Options{FindAll: true, Parallel: 1, Preprocess: true, Slice: true}
+	var want []byte
+	for i := 0; i < 3; i++ {
+		rep, err := Run(prog, nil, spec, opts)
+		if err != nil {
+			t.Fatalf("run %d: %v", i, err)
+		}
+		got, err := rep.CanonicalJSON()
+		if err != nil {
+			t.Fatalf("run %d: canonical: %v", i, err)
+		}
+		if want == nil {
+			want = got
+		} else if !bytes.Equal(want, got) {
+			t.Fatalf("run %d: canonical report differs from run 0", i)
+		}
 	}
 }
