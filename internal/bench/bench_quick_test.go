@@ -327,57 +327,3 @@ func TestPreprocSweepQuick(t *testing.T) {
 		t.Fatal("10x tighter reference ratios not flagged as a regression")
 	}
 }
-
-// TestChurnQuick runs a reduced churn experiment: every steady-state
-// delta must reproduce the fresh run's canonical bytes and split the
-// assertions between replay and re-check, and the CompareChurn gate must
-// accept the run against itself but reject byte breaks and doctored
-// ratios. The speedup bar itself is pinned by verify.TestSessionSpeedup;
-// a 2-delta quick run is too noisy to re-assert it here.
-func TestChurnQuick(t *testing.T) {
-	res, err := Churn(16, 1, 2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(res.Rows) != 2 {
-		t.Fatalf("rows = %d, want 2", len(res.Rows))
-	}
-	for i, r := range res.Rows {
-		if !r.Identical {
-			t.Fatalf("delta %d: session report differs from fresh verification", i)
-		}
-		if r.Reused == 0 || r.Rechecked == 0 {
-			t.Fatalf("delta %d: reuse/recheck split %d/%d, want both non-zero", i, r.Reused, r.Rechecked)
-		}
-		if int(r.Reused+r.Rechecked) != res.Assertions {
-			t.Fatalf("delta %d: reuse %d + recheck %d != %d assertions", i, r.Reused, r.Rechecked, res.Assertions)
-		}
-	}
-	if res.Speedup <= 1 {
-		t.Fatalf("steady-state speedup %.2fx, want > 1x even on a quick run", res.Speedup)
-	}
-	if !strings.Contains(FormatChurn(res), "speedup") {
-		t.Fatal("format output malformed")
-	}
-	ok := *res
-	ok.Speedup = 6 // quick runs may sit below the full-run bar; gate shape only
-	if err := CompareChurn(&ok, &ok); err != nil {
-		t.Fatalf("self-comparison flagged a regression: %v", err)
-	}
-	broken := ok
-	broken.Rows = append([]ChurnRow(nil), ok.Rows...)
-	broken.Rows[0].Identical = false
-	if err := CompareChurn(&ok, &broken); err == nil {
-		t.Fatal("byte-identity break not flagged")
-	}
-	slow := ok
-	slow.Speedup = 4.2
-	if err := CompareChurn(&ok, &slow); err == nil {
-		t.Fatal("speedup below the 5x bar not flagged")
-	}
-	tight := ok
-	tight.RelWall = ok.RelWall / 10
-	if err := CompareChurn(&tight, &ok); err == nil {
-		t.Fatal("10x tighter reference ratio not flagged as a regression")
-	}
-}

@@ -2,7 +2,6 @@ package bench
 
 import (
 	"bytes"
-	"encoding/json"
 	"fmt"
 	"runtime"
 	"strings"
@@ -138,11 +137,6 @@ func Incremental(bm *progs.Benchmark, workerCounts []int, repeats int) (*Increme
 		res.ClauseReduction = 1 - float64(incrClauses)/float64(freshClauses)
 	}
 	return res, nil
-}
-
-// JSON renders the sweep for BENCH_incremental.json.
-func (r *IncrementalResult) JSON() ([]byte, error) {
-	return json.MarshalIndent(r, "", "  ")
 }
 
 // FormatIncremental renders the sweep as the usual aquila-bench table.

@@ -2,7 +2,6 @@ package bench
 
 import (
 	"bytes"
-	"encoding/json"
 	"fmt"
 	"runtime"
 	"strings"
@@ -162,16 +161,6 @@ func ParallelSuite(bms []*progs.Benchmark, workerCounts []int, repeats int) (*Pa
 		out.Sweeps = append(out.Sweeps, res)
 	}
 	return out, nil
-}
-
-// JSON renders one program's sweep.
-func (r *ParallelResult) JSON() ([]byte, error) {
-	return json.MarshalIndent(r, "", "  ")
-}
-
-// JSON renders the suite for BENCH_parallel.json.
-func (r *ParallelSuiteResult) JSON() ([]byte, error) {
-	return json.MarshalIndent(r, "", "  ")
 }
 
 // FormatParallel renders one sweep as the usual aquila-bench table.

@@ -2,7 +2,6 @@ package bench
 
 import (
 	"bytes"
-	"encoding/json"
 	"fmt"
 	"runtime"
 	"strings"
@@ -213,11 +212,6 @@ func ComparePreproc(ref, cur *PreprocResult) error {
 			cur.Program, strings.Join(problems, "\n  "))
 	}
 	return nil
-}
-
-// JSON renders the sweep for BENCH_preproc.json.
-func (r *PreprocResult) JSON() ([]byte, error) {
-	return json.MarshalIndent(r, "", "  ")
 }
 
 // FormatPreproc renders the sweep as the usual aquila-bench table.

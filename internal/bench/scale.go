@@ -1,7 +1,6 @@
 package bench
 
 import (
-	"encoding/json"
 	"fmt"
 	"runtime"
 	"strings"
@@ -418,11 +417,6 @@ func CompareScale(ref, cur *ScaleResult) error {
 		return fmt.Errorf("bench: scale regression:\n  %s", strings.Join(problems, "\n  "))
 	}
 	return nil
-}
-
-// JSON renders the campaign for BENCH_scale.json.
-func (r *ScaleResult) JSON() ([]byte, error) {
-	return json.MarshalIndent(r, "", "  ")
 }
 
 // FormatScale renders the campaign as the usual aquila-bench table.

@@ -68,8 +68,9 @@ func canonicalOf(t *testing.T, rep *Report) []byte {
 
 // TestSessionByteIdentity is the delta determinism contract: for every
 // delta in the churn sequence, Session.Apply's canonical report is
-// byte-identical to a fresh verify.Run on the mutated snapshot, and the
-// baseline matches a fresh run on the starting snapshot.
+// byte-identical to a fresh verify.Run on the mutated snapshot and splits
+// the assertions between replay and re-check, and the baseline matches a
+// fresh run on the starting snapshot.
 func TestSessionByteIdentity(t *testing.T) {
 	prog, spec, snap := churnProblem(t)
 	sess, err := NewSession(prog, snap, spec, Options{Parallel: 1})
@@ -118,6 +119,12 @@ func TestSessionByteIdentity(t *testing.T) {
 		if rep.Stats.DeltaReuse == 0 {
 			t.Fatalf("delta %d: single-table delta replayed nothing (reuse 0 of %d)",
 				i, rep.Stats.Assertions)
+		}
+		// Every delta in churnDeltas touches a table the spec checks, so
+		// it must re-check at least one assertion rather than replay all.
+		if rep.Stats.DeltaRecheck == 0 {
+			t.Fatalf("delta %d: re-checked nothing (reuse %d of %d)",
+				i, rep.Stats.DeltaReuse, rep.Stats.Assertions)
 		}
 	}
 	st := sess.SessionStats()
