@@ -19,17 +19,37 @@ package sat
 //
 // Clauses are addressed by cref into the solver's flat arena (alloc.go);
 // the preprocessor shrinks and deletes them in place and compacts the
-// arena afterwards. Its occurrence lists and scratch buffers are pooled on
-// the Solver (prepState), so the repeated rounds a long-lived incremental
-// solver triggers re-use one allocation's worth of working state.
+// arena afterwards. Deleting a clause, or a literal from one, is O(1) per
+// literal, as in SatELite: it flags the clause or shrinks it and
+// decrements the per-literal live counts, and each occurrence list drops
+// its stale entries the next time it is read (live). Its occurrence lists
+// and scratch buffers are pooled on the Solver (prepState), so the
+// repeated rounds a long-lived incremental solver triggers re-use one
+// allocation's worth of working state.
 
-import "sort"
+import (
+	"cmp"
+	"slices"
+)
 
-// elimRecord remembers the original clauses of one eliminated variable.
-// clauses becomes nil once the variable has been restored.
+// elimRecord remembers the original clauses of one eliminated variable,
+// flattened into one slice in which each clause is prefixed by its length
+// (the arena's header-then-literals layout). clauses becomes nil once the
+// variable has been restored.
 type elimRecord struct {
 	v       int
-	clauses [][]Lit
+	clauses []Lit
+}
+
+// forEachClause calls f on every recorded clause until f returns false.
+func (rec *elimRecord) forEachClause(f func([]Lit) bool) {
+	for i := 0; i < len(rec.clauses); {
+		n := int(rec.clauses[i])
+		if !f(rec.clauses[i+1 : i+1+n]) {
+			return
+		}
+		i += 1 + n
+	}
 }
 
 const (
@@ -52,6 +72,10 @@ const (
 	prepDirtyMin  = 800
 	prepDirtyFrac = 8
 )
+
+// testHookPreprocessRound, when set by a test, sees the preprocessor at the
+// end of every round, before finish compacts the arena under its crefs.
+var testHookPreprocessRound func(p *preprocessor)
 
 // SetPreprocess enables preprocessing: Solve then runs a Preprocess round
 // whenever enough clauses arrived since the previous round.
@@ -89,15 +113,10 @@ func (s *Solver) restoreVar(v int) {
 	}
 	delete(s.elimIndex, v)
 	s.elimed[v] = false
-	rec := &s.elimStack[idx]
-	cls := rec.clauses
-	rec.clauses = nil
+	rec := s.elimStack[idx]
+	s.elimStack[idx].clauses = nil
 	s.order.pushIfAbsent(s, v)
-	for _, lits := range cls {
-		if !s.AddClause(lits...) {
-			return
-		}
-	}
+	rec.forEachClause(func(lits []Lit) bool { return s.AddClause(lits...) })
 }
 
 // extendModel assigns model values to eliminated variables, newest
@@ -112,7 +131,7 @@ func (s *Solver) extendModel() {
 			continue
 		}
 		val := lFalse
-		for _, cl := range rec.clauses {
+		rec.forEachClause(func(cl []Lit) bool {
 			sat, pos := false, false
 			for _, l := range cl {
 				if l.Var() == rec.v {
@@ -126,9 +145,10 @@ func (s *Solver) extendModel() {
 			}
 			if !sat && pos {
 				val = lTrue
-				break
+				return false
 			}
-		}
+			return true
+		})
 		s.model[rec.v] = val
 	}
 }
@@ -168,6 +188,9 @@ func (s *Solver) Preprocess() bool {
 	if s.ok {
 		p.subsume()
 	}
+	if testHookPreprocessRound != nil {
+		testHookPreprocessRound(p)
+	}
 	p.finish()
 	if s.ok && s.propagate() != crefUndef {
 		s.ok = false
@@ -196,33 +219,65 @@ func (s *Solver) rebuildWatches() {
 // occurrence-list view of the clause database with a subsumption queue. A
 // single instance is pooled on the Solver and reset between rounds, so the
 // occurrence lists, queue, and scratch buffers keep their backing arrays.
+//
+// Occurrence lists are lazy: occ[l] holds every live clause containing l
+// exactly once, plus stale entries — clauses deleted, or strengthened
+// away from l, since the list was last read through live. nocc[l] is the
+// exact number of live clauses containing l, which is what the heuristics
+// read.
 type preprocessor struct {
 	s       *Solver
 	cls     []cref    // live view: problem clauses then learnts, then resolvents
-	occ     [][]int32 // literal -> indices into cls
+	occ     [][]int32 // literal -> indices into cls (may hold stale entries)
+	nocc    []int32   // literal -> live clauses containing it
 	sig     []uint64  // per-clause variable signature (subset prefilter)
 	inQueue []bool
-	queue   []int   // clause indices awaiting a subsumption pass
-	units   []Lit   // pending level-0 assignments
-	cands   []int32 // subsumption candidate scratch (occ list snapshot)
+	queue   []int // clause indices awaiting a subsumption pass
+	qhead   int   // queue[:qhead] is consumed
+	units   []Lit // pending level-0 assignments
+	uhead   int   // units[:uhead] is consumed
+
+	// eliminate / tryEliminate scratch.
+	elimCands []elimCand
+	pos, neg  []int32
+	mark      []bool  // literal -> in the resolvent being built
+	res       []Lit   // resolvents, back to back
+	resEnd    []int32 // end offset of each resolvent in res
 }
 
+// elimCand is a BVE candidate variable with its live occurrence count.
+type elimCand struct{ v, n int32 }
+
 // reset clears the round's state while keeping every backing array, and
-// sizes the occurrence table to the solver's current variable count.
+// sizes the per-literal tables to the solver's current variable count.
 func (p *preprocessor) reset(s *Solver) {
 	p.s = s
 	p.cls = p.cls[:0]
 	p.sig = p.sig[:0]
 	p.inQueue = p.inQueue[:0]
-	p.queue = p.queue[:0]
-	p.units = p.units[:0]
+	p.queue, p.qhead = p.queue[:0], 0
+	p.units, p.uhead = p.units[:0], 0
 	for i := range p.occ {
 		p.occ[i] = p.occ[i][:0]
 	}
-	for len(p.occ) < 2*s.NumVars() {
+	nLits := 2 * s.NumVars()
+	for len(p.occ) < nLits {
 		p.occ = append(p.occ, nil)
 	}
-	p.occ = p.occ[:2*s.NumVars()]
+	p.occ = p.occ[:nLits]
+	p.nocc = resize(p.nocc, nLits)
+	p.mark = resize(p.mark, nLits)
+}
+
+// resize returns buf with length n and every element zero, reusing its
+// backing array when large enough.
+func resize[T any](buf []T, n int) []T {
+	if cap(buf) < n {
+		return make([]T, n)
+	}
+	buf = buf[:n]
+	clear(buf)
+	return buf
 }
 
 func sigOf(lits []Lit) uint64 {
@@ -236,6 +291,25 @@ func sigOf(lits []Lit) uint64 {
 func (p *preprocessor) lits(ci int) []Lit { return p.s.ca.lits(p.cls[ci]) }
 
 func (p *preprocessor) deleted(ci int) bool { return p.s.ca.deleted(p.cls[ci]) }
+
+// live returns l's occurrence list after dropping its stale entries. The
+// list keeps its order, so repeated reads see the surviving clauses in the
+// same sequence. Clauses only ever shrink, so an entry once stale stays
+// stale.
+func (p *preprocessor) live(l Lit) []int32 {
+	list := p.occ[l]
+	if len(list) == int(p.nocc[l]) {
+		return list
+	}
+	keep := list[:0]
+	for _, ci := range list {
+		if !p.deleted(int(ci)) && slices.Contains(p.lits(int(ci)), l) {
+			keep = append(keep, ci)
+		}
+	}
+	p.occ[l] = keep
+	return keep
+}
 
 // build folds the clause database into occurrence lists, simplifying each
 // clause against the level-0 assignment on the way in (survivors are
@@ -293,6 +367,7 @@ func (p *preprocessor) addIndexed(r cref) {
 	p.queue = append(p.queue, ci)
 	for _, l := range lits {
 		p.occ[l] = append(p.occ[l], int32(ci))
+		p.nocc[l]++
 	}
 }
 
@@ -303,29 +378,22 @@ func (p *preprocessor) enqueue(ci int) {
 	}
 }
 
-func (p *preprocessor) occRemove(l Lit, ci int) {
-	list := p.occ[l]
-	for i, x := range list {
-		if int(x) == ci {
-			list[i] = list[len(list)-1]
-			p.occ[l] = list[:len(list)-1]
-			return
-		}
-	}
-}
-
+// deleteClause retires clause ci: the arena flag marks it dead and the
+// live counts drop; the occurrence lists still hold it until live next
+// reads them.
 func (p *preprocessor) deleteClause(ci int) {
 	if p.deleted(ci) {
 		return
 	}
 	for _, l := range p.lits(ci) {
-		p.occRemove(l, ci)
+		p.nocc[l]--
 	}
 	p.s.ca.markDeleted(p.cls[ci])
 }
 
-// strengthen removes literal l from clause ci; a clause reduced to a unit
-// is queued for level-0 assignment and retired.
+// strengthen removes literal l from clause ci, which leaves a stale entry
+// on l's occurrence list; a clause reduced to a unit is queued for level-0
+// assignment and retired.
 func (p *preprocessor) strengthen(ci int, l Lit) {
 	lits := p.lits(ci)
 	for i, x := range lits {
@@ -336,7 +404,7 @@ func (p *preprocessor) strengthen(ci int, l Lit) {
 		}
 	}
 	p.s.ca.shrink(p.cls[ci], len(lits))
-	p.occRemove(l, ci)
+	p.nocc[l]--
 	p.sig[ci] = sigOf(lits)
 	if len(lits) == 1 {
 		p.units = append(p.units, lits[0])
@@ -350,9 +418,9 @@ func (p *preprocessor) strengthen(ci int, l Lit) {
 // lists: satisfied clauses are deleted, falsified literals removed.
 func (p *preprocessor) processUnits() bool {
 	s := p.s
-	for len(p.units) > 0 {
-		l := p.units[0]
-		p.units = p.units[1:]
+	for p.uhead < len(p.units) {
+		l := p.units[p.uhead]
+		p.uhead++
 		switch s.value(l) {
 		case lTrue:
 			continue
@@ -361,13 +429,16 @@ func (p *preprocessor) processUnits() bool {
 			return false
 		}
 		s.uncheckedEnqueue(l, crefUndef)
-		for len(p.occ[l]) > 0 {
-			p.deleteClause(int(p.occ[l][0]))
+		for _, ci := range p.live(l) {
+			p.deleteClause(int(ci))
 		}
-		for len(p.occ[l.Not()]) > 0 {
-			p.strengthen(int(p.occ[l.Not()][0]), l.Not())
+		p.occ[l] = p.occ[l][:0]
+		for _, ci := range p.live(l.Not()) {
+			p.strengthen(int(ci), l.Not())
 		}
+		p.occ[l.Not()] = p.occ[l.Not()][:0]
 	}
+	p.units, p.uhead = p.units[:0], 0
 	return true
 }
 
@@ -401,9 +472,9 @@ nextLit:
 // cheapest literal for backward subsumption and self-subsuming resolution.
 func (p *preprocessor) subsume() {
 	s := p.s
-	for len(p.queue) > 0 && s.ok {
-		ci := p.queue[0]
-		p.queue = p.queue[1:]
+	for p.qhead < len(p.queue) && s.ok {
+		ci := p.queue[p.qhead]
+		p.qhead++
 		p.inQueue[ci] = false
 		if p.deleted(ci) {
 			continue
@@ -412,9 +483,9 @@ func (p *preprocessor) subsume() {
 		// polarities; a flip on any other literal still leaves the pivot
 		// itself in the candidate clause.
 		var pivot Lit = -1
-		bestN := 0
+		bestN := int32(0)
 		for _, l := range p.lits(ci) {
-			n := len(p.occ[l]) + len(p.occ[l.Not()])
+			n := p.nocc[l] + p.nocc[l.Not()]
 			if pivot == -1 || n < bestN {
 				pivot, bestN = l, n
 			}
@@ -428,13 +499,13 @@ func (p *preprocessor) subsume() {
 			return
 		}
 	}
+	p.queue, p.qhead = p.queue[:0], 0
 }
 
 func (p *preprocessor) subsumeWith(ci int, l Lit) {
-	// Snapshot the candidate list into pooled scratch: strengthen and
-	// deleteClause below edit the live occurrence list mid-iteration.
-	p.cands = append(p.cands[:0], p.occ[l]...)
-	for _, cj32 := range p.cands {
+	// deleteClause and strengthen leave the list itself alone, so it can
+	// be walked in place.
+	for _, cj32 := range p.live(l) {
 		cj := int(cj32)
 		if p.deleted(ci) {
 			return
@@ -470,64 +541,43 @@ func (p *preprocessor) subsumeWith(ci int, l Lit) {
 	}
 }
 
-// resolve computes the resolvent of a and b on v; ok is false for
-// tautologies.
-func resolve(a, b []Lit, v int) ([]Lit, bool) {
-	out := make([]Lit, 0, len(a)+len(b)-2)
-	for _, l := range a {
-		if l.Var() != v {
-			out = append(out, l)
-		}
-	}
-	for _, l := range b {
-		if l.Var() == v {
-			continue
-		}
-		dup := false
-		for _, o := range out {
-			if o == l {
-				dup = true
-				break
-			}
-			if o == l.Not() {
-				return nil, false
-			}
-		}
-		if !dup {
-			out = append(out, l)
-		}
-	}
-	return out, true
-}
-
 // eliminate attempts bounded variable elimination on every unfrozen,
 // unassigned variable, cheapest occurrence counts first.
 func (p *preprocessor) eliminate() {
 	s := p.s
-	type cand struct{ v, n int }
-	cands := make([]cand, 0, s.NumVars())
+	p.elimCands = p.elimCands[:0]
 	for v := 0; v < s.NumVars(); v++ {
 		if s.frozen[v] || s.elimed[v] || s.assigns[v] != lUndef {
 			continue
 		}
-		n := len(p.occ[MkLit(v, false)]) + len(p.occ[MkLit(v, true)])
+		n := p.nocc[MkLit(v, false)] + p.nocc[MkLit(v, true)]
 		if n == 0 {
 			continue
 		}
-		cands = append(cands, cand{v, n})
+		p.elimCands = append(p.elimCands, elimCand{int32(v), n})
 	}
-	sort.Slice(cands, func(i, j int) bool {
-		if cands[i].n != cands[j].n {
-			return cands[i].n < cands[j].n
+	slices.SortFunc(p.elimCands, func(a, b elimCand) int {
+		if c := cmp.Compare(a.n, b.n); c != 0 {
+			return c
 		}
-		return cands[i].v < cands[j].v
+		return cmp.Compare(a.v, b.v)
 	})
-	for _, cd := range cands {
+	for _, cd := range p.elimCands {
 		if !s.ok {
 			return
 		}
-		p.tryEliminate(cd.v)
+		p.tryEliminate(int(cd.v))
 	}
+}
+
+// problemClauses appends the live problem (non-learnt) clauses on l to dst.
+func (p *preprocessor) problemClauses(dst []int32, l Lit) []int32 {
+	for _, ci := range p.live(l) {
+		if !p.s.ca.learnt(p.cls[ci]) {
+			dst = append(dst, ci)
+		}
+	}
+	return dst
 }
 
 // tryEliminate resolves every pos/neg problem-clause pair on v; the
@@ -542,57 +592,34 @@ func (p *preprocessor) tryEliminate(v int) {
 		return
 	}
 	pl, nl := MkLit(v, false), MkLit(v, true)
-	var pos, neg []int
-	for _, ci := range p.occ[pl] {
-		if !s.ca.learnt(p.cls[ci]) {
-			pos = append(pos, int(ci))
-		}
-	}
-	for _, ci := range p.occ[nl] {
-		if !s.ca.learnt(p.cls[ci]) {
-			neg = append(neg, int(ci))
-		}
-	}
-	if len(pos) > bveOccLimit || len(neg) > bveOccLimit {
+	p.pos = p.problemClauses(p.pos[:0], pl)
+	p.neg = p.problemClauses(p.neg[:0], nl)
+	if len(p.pos) > bveOccLimit || len(p.neg) > bveOccLimit {
 		return
 	}
-	limit := len(pos) + len(neg)
-	var resolvents [][]Lit
-	for _, pi := range pos {
-		for _, ni := range neg {
-			r, ok := resolve(p.lits(pi), p.lits(ni), v)
-			if !ok {
-				continue
-			}
-			if len(r) > bveClauseLimit {
-				return
-			}
-			resolvents = append(resolvents, r)
-			if len(resolvents) > limit {
-				return
-			}
-		}
+	if !p.resolveAll(v) {
+		return
 	}
 	// Commit: record and remove the originals, drop learnts touching v,
 	// then add the resolvents.
-	rec := elimRecord{v: v}
-	for _, ci := range pos {
-		rec.clauses = append(rec.clauses, append([]Lit(nil), p.lits(ci)...))
+	size := 0
+	for _, cls := range [2][]int32{p.pos, p.neg} {
+		for _, ci := range cls {
+			size += 1 + len(p.lits(int(ci)))
+		}
 	}
-	for _, ci := range neg {
-		rec.clauses = append(rec.clauses, append([]Lit(nil), p.lits(ci)...))
+	rec := elimRecord{v: v, clauses: make([]Lit, 0, size)}
+	for _, cls := range [2][]int32{p.pos, p.neg} {
+		for _, ci := range cls {
+			lits := p.lits(int(ci))
+			rec.clauses = append(append(rec.clauses, Lit(len(lits))), lits...)
+		}
 	}
-	for _, ci := range pos {
-		p.deleteClause(ci)
-	}
-	for _, ci := range neg {
-		p.deleteClause(ci)
-	}
-	for len(p.occ[pl]) > 0 {
-		p.deleteClause(int(p.occ[pl][0]))
-	}
-	for len(p.occ[nl]) > 0 {
-		p.deleteClause(int(p.occ[nl][0]))
+	for _, l := range [2]Lit{pl, nl} {
+		for _, ci := range p.live(l) {
+			p.deleteClause(int(ci))
+		}
+		p.occ[l] = p.occ[l][:0]
 	}
 	if s.elimIndex == nil {
 		s.elimIndex = map[int]int{}
@@ -601,10 +628,75 @@ func (p *preprocessor) tryEliminate(v int) {
 	s.elimStack = append(s.elimStack, rec)
 	s.elimed[v] = true
 	s.ElimVars++
-	for _, r := range resolvents {
-		p.addResolvent(r)
+	start := int32(0)
+	for _, end := range p.resEnd {
+		p.addResolvent(p.res[start:end])
+		start = end
 	}
 	p.processUnits()
+}
+
+// resolveAll writes the non-tautological resolvents of every p.pos × p.neg
+// pair on v into p.res, back to back, with their end offsets in p.resEnd.
+// It returns false as soon as one resolvent exceeds bveClauseLimit or they
+// outnumber the clauses they would replace. A resolvent is the pos
+// clause's literals in order, then the neg clause's literals not already
+// present; p.mark holds the resolvent's literals, so duplicate and
+// complementary literals cost O(1) each.
+func (p *preprocessor) resolveAll(v int) bool {
+	p.res, p.resEnd = p.res[:0], p.resEnd[:0]
+	limit := len(p.pos) + len(p.neg)
+	for _, pi := range p.pos {
+		a := p.lits(int(pi))
+		for _, l := range a {
+			p.mark[l] = l.Var() != v
+		}
+		ok := true
+		for _, ni := range p.neg {
+			start := len(p.res)
+			for _, l := range a {
+				if l.Var() != v {
+					p.res = append(p.res, l)
+				}
+			}
+			fromB := len(p.res)
+			taut := false
+			for _, l := range p.lits(int(ni)) {
+				if l.Var() == v || p.mark[l] {
+					continue
+				}
+				if p.mark[l.Not()] {
+					taut = true
+					break
+				}
+				p.res = append(p.res, l)
+				p.mark[l] = true
+			}
+			for _, l := range p.res[fromB:] {
+				p.mark[l] = false
+			}
+			if taut {
+				p.res = p.res[:start]
+				continue
+			}
+			if len(p.res)-start > bveClauseLimit {
+				ok = false
+				break
+			}
+			p.resEnd = append(p.resEnd, int32(len(p.res)))
+			if len(p.resEnd) > limit {
+				ok = false
+				break
+			}
+		}
+		for _, l := range a {
+			p.mark[l] = false
+		}
+		if !ok {
+			return false
+		}
+	}
+	return true
 }
 
 // addResolvent installs a BVE resolvent as a problem clause in the arena,

@@ -1,7 +1,9 @@
 package sat
 
 import (
+	"fmt"
 	"math/rand"
+	"slices"
 	"testing"
 )
 
@@ -161,11 +163,64 @@ func clauseSatisfied(s *Solver, cl []Lit) bool {
 	return false
 }
 
+// checkOcc verifies the lazy occurrence-list invariants of a round: every
+// live clause is on the list of each of its literals exactly once, and
+// nocc[l] is the number of live clauses on occ[l] that still contain l.
+// Other entries are stale: deleted, or strengthened away from l.
+func checkOcc(p *preprocessor) error {
+	type entry struct {
+		l  Lit
+		ci int32
+	}
+	onList := map[entry]int{}
+	for l, list := range p.occ {
+		live := int32(0)
+		for _, ci := range list {
+			if p.deleted(int(ci)) || !slices.Contains(p.lits(int(ci)), Lit(l)) {
+				continue
+			}
+			live++
+			onList[entry{Lit(l), ci}]++
+		}
+		if live != p.nocc[l] {
+			return fmt.Errorf("nocc[%v] = %d, occ list holds %d live clauses", Lit(l), p.nocc[l], live)
+		}
+	}
+	for ci := range p.cls {
+		if p.deleted(ci) {
+			continue
+		}
+		for _, l := range p.lits(ci) {
+			if n := onList[entry{l, int32(ci)}]; n != 1 {
+				return fmt.Errorf("live clause %d %v is on occ[%v] %d times, want 1", ci, p.lits(ci), l, n)
+			}
+		}
+	}
+	return nil
+}
+
+// hookCheckOcc runs checkOcc at the end of every preprocessing round for
+// the rest of the test and returns a pointer to the number of rounds
+// checked.
+func hookCheckOcc(t *testing.T) *int {
+	t.Helper()
+	rounds := new(int)
+	testHookPreprocessRound = func(p *preprocessor) {
+		*rounds++
+		if err := checkOcc(p); err != nil {
+			t.Fatalf("round %d: %v", *rounds, err)
+		}
+	}
+	t.Cleanup(func() { testHookPreprocessRound = nil })
+	return rounds
+}
+
 // TestPreprocessDifferentialRandom3SAT is the core property test: on random
 // 3-SAT instances, preprocessing must preserve the verdict, the returned
 // model must satisfy every ORIGINAL clause, and unsat cores must remain
 // subsets of the negated assumptions.
 func TestPreprocessDifferentialRandom3SAT(t *testing.T) {
+	rounds := hookCheckOcc(t)
 	rng := rand.New(rand.NewSource(20260805))
 	for iter := 0; iter < 300; iter++ {
 		nVars := 5 + rng.Intn(16)
@@ -227,12 +282,16 @@ func TestPreprocessDifferentialRandom3SAT(t *testing.T) {
 			}
 		}
 	}
+	if *rounds == 0 {
+		t.Fatal("no preprocessing round ran")
+	}
 }
 
 // TestPreprocessIncrementalSequence interleaves clause additions and
 // assumption queries on a single long-lived pair of solvers, which is the
 // access pattern of the incremental verification engine.
 func TestPreprocessIncrementalSequence(t *testing.T) {
+	rounds := hookCheckOcc(t)
 	rng := rand.New(rand.NewSource(99))
 	for round := 0; round < 20; round++ {
 		nVars := 8 + rng.Intn(10)
@@ -260,6 +319,9 @@ func TestPreprocessIncrementalSequence(t *testing.T) {
 			}
 		}
 	}
+	if *rounds == 0 {
+		t.Fatal("no preprocessing round ran")
+	}
 }
 
 func TestPreprocessStatsCounted(t *testing.T) {
@@ -276,5 +338,131 @@ func TestPreprocessStatsCounted(t *testing.T) {
 	s.Solve()
 	if s.ElimVars == 0 && s.SubsumedClauses == 0 && s.StrengthenedClauses == 0 {
 		t.Fatal("preprocessing ran but recorded no work in any stat")
+	}
+}
+
+// wideLookup is a CNF shaped like a table lookup over n entries: key bits
+// select one hit_i (hit_i <-> key == i), the selector sel gates every entry
+// through a chain of implications sel & hit_i -> m_i0 -> ... -> act_i, and
+// act_i is one of a few shared action bits in either polarity. ~sel is in
+// n clauses, and each chain variable BVE eliminates deletes one of them.
+type wideLookup struct {
+	nVars   int
+	clauses [][]Lit
+	sel     int
+	keyBits []int
+	act     []Lit // entry -> action literal its chain forces
+}
+
+func newWideLookup(n, chain int) *wideLookup {
+	w := &wideLookup{}
+	newVar := func() int { w.nVars++; return w.nVars - 1 }
+	w.sel = newVar()
+	for 1<<len(w.keyBits) < n {
+		w.keyBits = append(w.keyBits, newVar())
+	}
+	actBits := make([]int, 16)
+	for i := range actBits {
+		actBits[i] = newVar()
+	}
+	for i := 0; i < n; i++ {
+		hit := newVar()
+		back := []Lit{MkLit(hit, false)}
+		for _, l := range w.key(i) {
+			w.clauses = append(w.clauses, []Lit{MkLit(hit, true), l})
+			back = append(back, l.Not())
+		}
+		w.clauses = append(w.clauses, back)
+		prev := newVar()
+		w.clauses = append(w.clauses, []Lit{MkLit(w.sel, true), MkLit(hit, true), MkLit(prev, false)})
+		for j := 0; j < chain; j++ {
+			next := newVar()
+			w.clauses = append(w.clauses, []Lit{MkLit(prev, true), MkLit(next, false)})
+			prev = next
+		}
+		act := MkLit(actBits[i%len(actBits)], (i/len(actBits))%2 == 1)
+		w.act = append(w.act, act)
+		w.clauses = append(w.clauses, []Lit{MkLit(prev, true), act})
+	}
+	return w
+}
+
+// key returns the key-bit assignment that selects entry i.
+func (w *wideLookup) key(i int) []Lit {
+	out := make([]Lit, len(w.keyBits))
+	for b, v := range w.keyBits {
+		out[b] = MkLit(v, i>>b&1 == 0)
+	}
+	return out
+}
+
+func (w *wideLookup) solver(prep bool) *Solver {
+	s := New()
+	s.SetPreprocess(prep)
+	for i := 0; i < w.nVars; i++ {
+		s.NewVar()
+	}
+	for _, cl := range w.clauses {
+		s.AddClause(cl...)
+	}
+	return s
+}
+
+// TestPreprocessWideOccurrence is the regression test for deletion cost on
+// a literal with thousands of occurrences: verdicts must match a plain
+// solver across lookups, and every Sat model must satisfy the original
+// clauses and the assumptions.
+func TestPreprocessWideOccurrence(t *testing.T) {
+	const entries = 5000
+	w := newWideLookup(entries, 4)
+	prep, plain := w.solver(true), w.solver(false)
+	sel := MkLit(w.sel, false)
+	queries := []struct {
+		name        string
+		assumptions []Lit
+		want        Status
+	}{
+		{"hit entry 17", append([]Lit{sel}, w.key(17)...), Sat},
+		{"entry 17 without its action", append([]Lit{sel, w.act[17].Not()}, w.key(17)...), Unsat},
+		{"hit entry 4242 with its action", append([]Lit{sel, w.act[4242]}, w.key(4242)...), Sat},
+		{"entry 4242 without sel", append([]Lit{sel.Not(), w.act[4242].Not()}, w.key(4242)...), Sat},
+		{"no assumptions", nil, Sat},
+	}
+	for _, q := range queries {
+		got, want := prep.Solve(q.assumptions...), plain.Solve(q.assumptions...)
+		if got != want || got != q.want {
+			t.Fatalf("%s: preprocess %v, plain %v, want %v", q.name, got, want, q.want)
+		}
+		if got != Sat {
+			continue
+		}
+		for ci, cl := range w.clauses {
+			if !clauseSatisfied(prep, cl) {
+				t.Fatalf("%s: reconstructed model violates original clause %d: %v", q.name, ci, cl)
+			}
+		}
+		for _, a := range q.assumptions {
+			if prep.Value(a.Var()) == a.Neg() {
+				t.Fatalf("%s: model violates assumption %v", q.name, a)
+			}
+		}
+	}
+	if prep.ElimVars < entries {
+		t.Fatalf("ElimVars = %d, want at least one per entry (%d)", prep.ElimVars, entries)
+	}
+}
+
+// BenchmarkPreprocessWideOccurrence times one lookup query, preprocessing
+// included, on the 5000-entry wide-occurrence CNF.
+func BenchmarkPreprocessWideOccurrence(b *testing.B) {
+	w := newWideLookup(5000, 4)
+	assumptions := append([]Lit{MkLit(w.sel, false)}, w.key(17)...)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		s := w.solver(true)
+		if got := s.Solve(assumptions...); got != Sat {
+			b.Fatalf("Solve = %v, want Sat", got)
+		}
 	}
 }
