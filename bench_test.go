@@ -14,6 +14,7 @@ import (
 
 	"aquila/internal/bench"
 	"aquila/internal/encode"
+	"aquila/internal/gcl"
 	"aquila/internal/genprog"
 	"aquila/internal/lpi"
 	"aquila/internal/obs"
@@ -384,6 +385,57 @@ func BenchmarkSolver_BitBlast(b *testing.B) {
 		s.Assert(ctx.Ult(y, ctx.BV(3, 32)))
 		if s.Check() != smt.Sat {
 			b.Fatal("expected sat")
+		}
+	}
+}
+
+// BenchmarkFreshBlastSwitch is the fresh-solver path of the Table 3
+// "Switch from vendor" program (the switch-cold ledger workload): every
+// iteration blasts eight of its violation conditions, spread evenly over
+// the 142, each on a fresh solver, and checks them. Run with -benchmem;
+// B/op and allocs/op are what sizing each solver once per blasted term
+// exists to cut.
+func BenchmarkFreshBlastSwitch(b *testing.B) {
+	var bm *progs.Benchmark
+	for _, p := range genprog.Table3Suite() {
+		if p.Name == "Switch from vendor" {
+			bm = p
+		}
+	}
+	if bm == nil {
+		b.Fatal(`Table 3 suite has no "Switch from vendor" program`)
+	}
+	prog, err := bm.Parse()
+	if err != nil {
+		b.Fatal(err)
+	}
+	spec, err := lpi.Parse(progs.InvalidHeaderAccessSpec(prog, bm.Calls))
+	if err != nil {
+		b.Fatal(err)
+	}
+	ctx := smt.NewCtx()
+	env := encode.NewEnv(ctx, prog, nil, encode.Options{TrackModified: lpi.TrackModified(spec)})
+	program, err := lpi.NewCompiler(spec, env).Compile()
+	if err != nil {
+		b.Fatal(err)
+	}
+	viols := gcl.NewEncoder(ctx).Encode(program, nil).Violations
+	const n = 8
+	if len(viols) < n {
+		b.Fatalf("%d violation conditions, want at least %d", len(viols), n)
+	}
+	conds := make([]*smt.Term, n)
+	for i := range conds {
+		conds[i] = viols[i*len(viols)/n].Cond
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		for _, c := range conds {
+			s := smt.NewSolver(ctx)
+			if s.CheckLits(s.Indicator(c)) == smt.Unknown {
+				b.Fatal("unbudgeted check returned unknown")
+			}
 		}
 	}
 }

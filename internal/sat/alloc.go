@@ -45,18 +45,33 @@ type clauseAlloc struct {
 }
 
 // alloc appends a clause and returns its reference. lits is copied; the
-// arena never aliases caller memory.
+// arena never aliases caller memory. A full arena doubles (AddClauses
+// reserves a batch's words up front, so loading one never regrows it).
 func (ca *clauseAlloc) alloc(lits []Lit, learnt bool) cref {
 	r := cref(len(ca.data))
 	hdr := Lit(len(lits) << headerShift)
+	words := 1 + len(lits)
 	if learnt {
 		hdr |= flagLearnt | flagExtras
+		words += 3
 	}
-	ca.data = append(ca.data, hdr)
+	if cap(ca.data)-len(ca.data) < words {
+		ca.data = room(ca.data, words)
+	}
+	// Reslicing stores only the length, where append(ca.data, lits...)
+	// would store the whole slice header, a write barrier while the GC
+	// runs; clauses are short, so a loop beats memmove's call overhead.
+	ca.data = ca.data[:int(r)+words]
+	c := ca.data[r:]
+	c[0] = hdr
 	if learnt {
-		ca.data = append(ca.data, 0, 0, 0)
+		c[1], c[2], c[3] = 0, 0, 0
+		c = c[3:]
 	}
-	ca.data = append(ca.data, lits...)
+	c = c[1:]
+	for i, l := range lits {
+		c[i] = l
+	}
 	return r
 }
 

@@ -200,12 +200,11 @@ func (s *Solver) Preprocess() bool {
 
 // rebuildWatches reconstructs every watch list from the live clause
 // database; preprocessing mutates clauses in place, so the old lists are
-// stale afterwards. Truncation keeps the list backings (and the shared
-// watcher slab they were carved from), so re-attachment after a
-// preprocessing round costs no fresh allocation.
+// stale afterwards. Truncation keeps every list's slab region, so
+// re-attachment after a preprocessing round costs no fresh allocation.
 func (s *Solver) rebuildWatches() {
 	for i := range s.watches {
-		s.watches[i] = s.watches[i][:0]
+		s.watches[i].n = 0
 	}
 	for _, c := range s.clauses {
 		s.attach(c)

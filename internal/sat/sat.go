@@ -99,6 +99,12 @@ type watcher struct {
 	blocker Lit
 }
 
+// watchList locates one literal's watch list in the solver's watcher slab:
+// n watchers at watchers[off:off+n], with room for cap before the list must
+// move. Neither it nor watcher holds a pointer, so the garbage collector
+// never scans a solver's watch lists.
+type watchList struct{ off, n, cap uint32 }
+
 type varData struct {
 	reason cref // antecedent clause, crefUndef for decisions/assumptions
 	level  int32
@@ -111,8 +117,9 @@ type Solver struct {
 	clauses []cref // problem clauses
 	learnts []cref
 
-	watches [][]watcher // indexed by literal
-	wslab   []watcher   // shared backing slab for small watch lists
+	watches  []watchList // indexed by literal
+	watchers []watcher   // slab every watch list is carved from
+	wneed    []uint32    // AddClauses scratch: watchers a batch adds per literal
 
 	assigns  []lbool // indexed by var
 	vardata  []varData
@@ -246,17 +253,63 @@ func (s *Solver) NumClauses() int { return len(s.clauses) }
 // NewVar allocates a fresh variable and returns its index.
 func (s *Solver) NewVar() int {
 	v := len(s.assigns)
+	if v == cap(s.assigns) {
+		s.reserveVars(v + 1)
+	}
 	s.assigns = append(s.assigns, lUndef)
 	s.vardata = append(s.vardata, varData{reason: crefUndef})
 	s.polarity = append(s.polarity, true) // default phase false (polarity=negated)
 	s.activity = append(s.activity, 0)
-	s.watches = append(s.watches, nil, nil)
+	if len(s.watches) < 2*v+2 { // AddClauses may have laid them out already
+		s.watches = append(s.watches, watchList{}, watchList{})
+	}
 	s.seen = append(s.seen, 0)
 	s.frozen = append(s.frozen, false)
 	s.elimed = append(s.elimed, false)
-	s.order.push(s, v)
+	// A fresh variable's activity, 0, is the heap's minimum, so it joins
+	// at the end without sifting: exactly where push would leave it.
+	s.order.pos = append(s.order.pos, int32(len(s.order.data)))
+	s.order.data = append(s.order.data, int32(v))
 	s.numVarsFree++
 	return v
+}
+
+// reserveVars gives every per-variable array, the trail and the VSIDS heap
+// room for n variables. The arrays share one capacity, so NewVar's fast
+// path checks only assigns and its appends never reallocate. The first
+// reservation is exact; later ones at least double, so a solver that
+// keeps taking batches grows geometrically.
+func (s *Solver) reserveVars(n int) {
+	c := max(n, 2*cap(s.assigns))
+	s.assigns = growTo(s.assigns, c)
+	s.vardata = growTo(s.vardata, c)
+	s.polarity = growTo(s.polarity, c)
+	s.activity = growTo(s.activity, c)
+	s.watches = growTo(s.watches, 2*c)
+	s.seen = growTo(s.seen, c)
+	s.frozen = growTo(s.frozen, c)
+	s.elimed = growTo(s.elimed, c)
+	s.trail = growTo(s.trail, c)
+	s.order.data = growTo(s.order.data, c)
+	s.order.pos = growTo(s.order.pos, c)
+}
+
+// growTo returns buf with capacity at least c: buf itself when it has
+// room, else a copy in a new backing array of exactly c.
+func growTo[T any](buf []T, c int) []T {
+	if c <= cap(buf) {
+		return buf
+	}
+	nb := make([]T, len(buf), c)
+	copy(nb, buf)
+	return nb
+}
+
+// room returns buf with capacity for n more elements, doubling when it
+// must grow. Callers test the capacity first and assign only on growth, so
+// a steady-state append stores just the length, with no write barrier.
+func room[T any](buf []T, n int) []T {
+	return growTo(buf, max(len(buf)+n, 2*cap(buf)))
 }
 
 // SetBudget limits the number of conflicts spent by each subsequent Solve
@@ -321,7 +374,8 @@ func (s *Solver) AddClause(lits ...Lit) bool {
 		}
 	}
 	s.dirty++
-	// Sort & dedupe; detect tautologies and satisfied/false literals.
+	// Drop duplicate and level-0-false literals, keeping the caller's
+	// order; a tautology or a level-0-true literal satisfies the clause.
 	// restoreVar above never re-enters past this point, so one scratch
 	// buffer per solver suffices.
 	out := s.addBuf[:0]
@@ -349,7 +403,9 @@ func (s *Solver) AddClause(lits ...Lit) bool {
 			out = append(out, l)
 		}
 	}
-	s.addBuf = out
+	if cap(out) > cap(s.addBuf) {
+		s.addBuf = out // keep a grown buffer; storing it every call costs a write barrier
+	}
 	switch len(out) {
 	case 0:
 		s.ok = false
@@ -360,6 +416,9 @@ func (s *Solver) AddClause(lits ...Lit) bool {
 		return s.ok
 	}
 	r := s.ca.alloc(out, false)
+	if len(s.clauses) == cap(s.clauses) {
+		s.clauses = room(s.clauses, 1)
+	}
 	s.clauses = append(s.clauses, r)
 	s.attach(r)
 	return true
@@ -372,38 +431,31 @@ func (s *Solver) attach(r cref) {
 	s.wappend(l1.Not(), watcher{r, l0})
 }
 
-// wslabChunk is the watcher slab size; lists growing past a quarter of it
-// graduate to their own allocation.
-const wslabChunk = 8192
-
-// wappend appends w to the watch list of p, carving small list backings out
-// of a shared slab so the millions of short watch lists a blast produces
-// don't each cost a heap allocation.
+// wappend appends w to the watch list of p. A full list moves to the end
+// of the slab with twice the room; garbageCollect reclaims the space it
+// leaves behind.
 func (s *Solver) wappend(p Lit, w watcher) {
-	ws := s.watches[p]
-	if len(ws) == cap(ws) {
-		ws = s.growWatch(ws)
+	wl := &s.watches[p]
+	if wl.n == wl.cap {
+		s.moveWatch(wl, max(2*wl.cap, 4))
 	}
-	s.watches[p] = append(ws, w)
+	s.watchers[wl.off+wl.n] = w
+	wl.n++
 }
 
-func (s *Solver) growWatch(ws []watcher) []watcher {
-	ncap := 2 * cap(ws)
-	if ncap < 4 {
-		ncap = 4
+// moveWatch relocates list wl to a new region of ncap watchers at the end
+// of the slab, which doubles when it runs out of room. It may move the
+// slab: callers must not hold a view of it across the call.
+func (s *Solver) moveWatch(wl *watchList, ncap uint32) {
+	end := len(s.watchers)
+	if cap(s.watchers)-end < int(ncap) {
+		s.watchers = room(s.watchers, int(ncap))
 	}
-	if ncap > wslabChunk/4 {
-		nw := make([]watcher, len(ws), ncap)
-		copy(nw, ws)
-		return nw
+	s.watchers = s.watchers[:end+int(ncap)]
+	if wl.n > 0 {
+		copy(s.watchers[end:], s.watchers[wl.off:wl.off+wl.n])
 	}
-	if cap(s.wslab)-len(s.wslab) < ncap {
-		s.wslab = make([]watcher, 0, wslabChunk)
-	}
-	n := len(s.wslab)
-	s.wslab = s.wslab[:n+ncap]
-	nw := s.wslab[n : n : n+ncap]
-	return append(nw, ws...)
+	wl.off, wl.cap = uint32(end), ncap
 }
 
 func (s *Solver) uncheckedEnqueue(l Lit, reason cref) {
@@ -424,10 +476,16 @@ func (s *Solver) propagate() cref {
 		p := s.trail[s.qhead]
 		s.qhead++
 		s.Propagations++
-		ws := s.watches[p]
-		n := 0
+		// The list is compacted in place over watchers[off:end]. ws is a
+		// view of the whole slab, refreshed after every wappend (which may
+		// move the slab; it never moves p's own list, since the new watch
+		// is on a literal that is not false).
+		off := int(s.watches[p].off)
+		end := off + int(s.watches[p].n)
+		ws := s.watchers
+		n := off
 	nextWatcher:
-		for i := 0; i < len(ws); i++ {
+		for i := off; i < end; i++ {
 			w := ws[i]
 			if s.value(w.blocker) == lTrue {
 				ws[n] = w
@@ -455,6 +513,7 @@ func (s *Solver) propagate() cref {
 				if s.value(lits[k]) != lFalse {
 					lits[1], lits[k] = lits[k], lits[1]
 					s.wappend(lits[1].Not(), watcher{r, first})
+					ws = s.watchers
 					continue nextWatcher
 				}
 			}
@@ -463,17 +522,17 @@ func (s *Solver) propagate() cref {
 			n++
 			if s.value(first) == lFalse {
 				// Conflict: copy remaining watchers and bail.
-				for i++; i < len(ws); i++ {
+				for i++; i < end; i++ {
 					ws[n] = ws[i]
 					n++
 				}
-				s.watches[p] = ws[:n]
+				s.watches[p].n = uint32(n - off)
 				s.qhead = len(s.trail)
 				return r
 			}
 			s.uncheckedEnqueue(first, r)
 		}
-		s.watches[p] = ws[:n]
+		s.watches[p].n = uint32(n - off)
 	}
 	return crefUndef
 }
@@ -716,21 +775,33 @@ func (s *Solver) checkGC() {
 // forwarding references reloc leaves behind. Watchers of deleted clauses
 // are dropped here instead of lazily in propagate; either way they were
 // invisible to the search, so solver trajectories are unchanged.
+//
+// The watcher slab is compacted in the same pass: every list keeps its
+// capacity and order but moves to the next free offset of a fresh slab,
+// which drops the regions full lists left behind when they moved.
 func (s *Solver) garbageCollect() {
 	to := clauseAlloc{data: make([]Lit, 0, len(s.ca.data)-s.ca.wasted)}
+	total := 0
+	for _, wl := range s.watches {
+		total += int(wl.cap)
+	}
+	slab := make([]watcher, total, total+total/8) // headroom for moves, as in AddClauses
+	off := uint32(0)
 	for i := range s.watches {
-		ws := s.watches[i]
-		n := 0
-		for _, w := range ws {
+		wl := &s.watches[i]
+		n := uint32(0)
+		for _, w := range s.watchers[wl.off : wl.off+wl.n] {
 			if s.ca.deleted(w.ref) {
 				continue
 			}
 			w.ref = s.ca.reloc(w.ref, &to)
-			ws[n] = w
+			slab[off+n] = w
 			n++
 		}
-		s.watches[i] = ws[:n]
+		wl.off, wl.n = off, n
+		off += wl.cap
 	}
+	s.watchers = slab
 	for _, l := range s.trail {
 		v := l.Var()
 		r := s.vardata[v].reason
@@ -835,6 +906,9 @@ func (s *Solver) search(maxConflicts int) Status {
 				lbd := s.computeLBD(learnt)
 				r := s.ca.alloc(learnt, true)
 				s.ca.setLBD(r, lbd)
+				if len(s.learnts) == cap(s.learnts) {
+					s.learnts = room(s.learnts, 1)
+				}
 				s.learnts = append(s.learnts, r)
 				s.Learnt++
 				s.attach(r)
@@ -994,16 +1068,9 @@ func (h *heap) less(s *Solver, a, b int32) bool {
 	return s.activity[a] > s.activity[b]
 }
 
-func (h *heap) ensure(v int) {
-	for len(h.pos) <= v {
-		h.pos = append(h.pos, -1)
-	}
-}
-
 func (h *heap) empty() bool { return len(h.data) == 0 }
 
 func (h *heap) push(s *Solver, v int) {
-	h.ensure(v)
 	if h.pos[v] != -1 {
 		return
 	}
@@ -1028,7 +1095,6 @@ func (h *heap) pop(s *Solver) int {
 }
 
 func (h *heap) decrease(s *Solver, v int) {
-	h.ensure(v)
 	if h.pos[v] == -1 {
 		return
 	}

@@ -2,6 +2,7 @@ package smt
 
 import (
 	"fmt"
+	"sync"
 
 	"aquila/internal/sat"
 )
@@ -9,8 +10,16 @@ import (
 // blaster lowers hash-consed terms to CNF over a sat.Solver via Tseitin
 // encoding. Caching is per-term (the term DAG is already maximally shared
 // by hash-consing), so every subterm is encoded at most once.
+//
+// The blaster never reads SAT assignments, only literal identities, so it
+// numbers fresh variables itself and records them and its clauses in a
+// sat.ClauseLog; flush loads the log with one AddClauses call, which sizes
+// the solver for the whole term at once. Every Solver method that blasts
+// flushes before it returns or touches the SAT core, so the buffering is
+// invisible: the solver sees the same calls in the same order.
 type blaster struct {
 	sat       *sat.Solver
+	log       *sat.ClauseLog // nil when nothing is pending; from clauseLogs
 	bvCache   map[int][]sat.Lit
 	boolCache map[int]sat.Lit
 	litTrue   sat.Lit
@@ -25,10 +34,35 @@ type blaster struct {
 	clausesEmitted int64
 }
 
-// addClause forwards to the SAT solver, counting emissions.
+// clauseLogs pools clause logs across solvers: a log grows to the size of
+// the largest term blasted, and fresh per-check solvers would otherwise
+// regrow one each.
+var clauseLogs = sync.Pool{New: func() any { return new(sat.ClauseLog) }}
+
+// pending returns the clause log, taking one from the pool if none is
+// pending.
+func (b *blaster) pending() *sat.ClauseLog {
+	if b.log == nil {
+		b.log = clauseLogs.Get().(*sat.ClauseLog)
+	}
+	return b.log
+}
+
+// addClause logs a Tseitin clause, counting emissions.
 func (b *blaster) addClause(lits ...sat.Lit) {
 	b.clausesEmitted++
-	b.sat.AddClause(lits...)
+	b.pending().AddClause(lits...)
+}
+
+// flush loads the pending log into the SAT solver and returns it to the
+// pool.
+func (b *blaster) flush() {
+	if b.log == nil {
+		return
+	}
+	b.sat.AddClauses(b.log)
+	clauseLogs.Put(b.log)
+	b.log = nil
 }
 
 func newBlaster(s *sat.Solver) *blaster {
@@ -45,7 +79,7 @@ func newBlaster(s *sat.Solver) *blaster {
 
 func (b *blaster) litFalse() sat.Lit { return b.litTrue.Not() }
 
-func (b *blaster) fresh() sat.Lit { return sat.MkLit(b.sat.NewVar(), false) }
+func (b *blaster) fresh() sat.Lit { return sat.MkLit(b.pending().NewVar(b.sat), false) }
 
 func (b *blaster) isTrue(l sat.Lit) bool  { return l == b.litTrue }
 func (b *blaster) isFalse(l sat.Lit) bool { return l == b.litFalse() }

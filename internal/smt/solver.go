@@ -146,6 +146,7 @@ func (s *Solver) Assert(t *Term) {
 	mustBool("Assert", t)
 	s.asserted = append(s.asserted, t)
 	l := s.b.boolLit(t)
+	s.b.flush()
 	s.sat.AddClause(l)
 }
 
@@ -157,6 +158,7 @@ func (s *Solver) Assert(t *Term) {
 func (s *Solver) Indicator(t *Term) sat.Lit {
 	mustBool("Indicator", t)
 	l := s.b.boolLit(t)
+	s.b.flush()
 	s.sat.FreezeVar(l.Var())
 	return l
 }
@@ -331,6 +333,7 @@ func (s *Solver) Maximize(soft []*Term) (*Model, int, Status) {
 	}
 	// Sequential counter: count[j] = "at least j+1 of violated are true".
 	counts := s.cardinalityCounter(violated)
+	s.b.flush()
 	for k := 0; k <= len(soft); k++ {
 		// Assume at most k violated: ¬count[k] (i.e. not "at least k+1").
 		var assumptions []sat.Lit
