@@ -10,6 +10,7 @@ package aquila
 import (
 	"fmt"
 	"io"
+	"slices"
 	"testing"
 
 	"aquila/internal/bench"
@@ -389,13 +390,11 @@ func BenchmarkSolver_BitBlast(b *testing.B) {
 	}
 }
 
-// BenchmarkFreshBlastSwitch is the fresh-solver path of the Table 3
-// "Switch from vendor" program (the switch-cold ledger workload): every
-// iteration blasts eight of its violation conditions, spread evenly over
-// the 142, each on a fresh solver, and checks them. Run with -benchmem;
-// B/op and allocs/op are what sizing each solver once per blasted term
-// exists to cut.
-func BenchmarkFreshBlastSwitch(b *testing.B) {
+// switchConds encodes the Table 3 "Switch from vendor" program (the
+// switch-cold ledger workload) into a new context and returns eight of its
+// distinct violation conditions, spread evenly over them: its 142
+// conditions are 14 distinct terms.
+func switchConds(b *testing.B) (*smt.Ctx, []*smt.Term) {
 	var bm *progs.Benchmark
 	for _, p := range genprog.Table3Suite() {
 		if p.Name == "Switch from vendor" {
@@ -419,23 +418,65 @@ func BenchmarkFreshBlastSwitch(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	viols := gcl.NewEncoder(ctx).Encode(program, nil).Violations
+	var distinct []*smt.Term
+	for _, v := range gcl.NewEncoder(ctx).Encode(program, nil).Violations {
+		if !slices.Contains(distinct, v.Cond) {
+			distinct = append(distinct, v.Cond)
+		}
+	}
 	const n = 8
-	if len(viols) < n {
-		b.Fatalf("%d violation conditions, want at least %d", len(viols), n)
+	if len(distinct) < n {
+		b.Fatalf("%d distinct violation conditions, want at least %d", len(distinct), n)
 	}
 	conds := make([]*smt.Term, n)
 	for i := range conds {
-		conds[i] = viols[i*len(viols)/n].Cond
+		conds[i] = distinct[i*len(distinct)/n]
+	}
+	return ctx, conds
+}
+
+// checkFresh blasts each condition into a fresh solver and checks it.
+func checkFresh(b *testing.B, ctx *smt.Ctx, conds []*smt.Term) {
+	for _, c := range conds {
+		s := smt.NewSolver(ctx)
+		if s.CheckLits(s.Indicator(c)) == smt.Unknown {
+			b.Fatal("unbudgeted check returned unknown")
+		}
+	}
+}
+
+// BenchmarkFreshBlastSwitch is the fresh-solver path of the switch-cold
+// workload: every iteration blasts eight distinct switch conditions, each
+// on a fresh solver, and checks them. Each iteration encodes into a new
+// context (untimed), so no condition has been seen before and none starts
+// from a snapshot. Run with -benchmem; B/op and allocs/op are what sizing
+// each solver once per blasted term exists to cut.
+func BenchmarkFreshBlastSwitch(b *testing.B) {
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		b.StopTimer()
+		ctx, conds := switchConds(b)
+		b.StartTimer()
+		checkFresh(b, ctx, conds)
+	}
+}
+
+// BenchmarkSnapshotCloneSwitch is BenchmarkFreshBlastSwitch's work when
+// every condition recurs: each has been blasted twice before the timer
+// starts, so every fresh solver starts as a clone of its snapshot.
+func BenchmarkSnapshotCloneSwitch(b *testing.B) {
+	ctx, conds := switchConds(b)
+	for range 2 {
+		for _, c := range conds {
+			smt.NewSolver(ctx).Indicator(c)
+		}
+	}
+	if ctx.SnapshotBytes() == 0 {
+		b.Fatal("no snapshot was captured")
 	}
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		for _, c := range conds {
-			s := smt.NewSolver(ctx)
-			if s.CheckLits(s.Indicator(c)) == smt.Unknown {
-				b.Fatal("unbudgeted check returned unknown")
-			}
-		}
+		checkFresh(b, ctx, conds)
 	}
 }

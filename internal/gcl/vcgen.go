@@ -142,6 +142,22 @@ func (s *Store) Names() []string {
 type Encoder struct {
 	ctx   *smt.Ctx
 	fresh int
+
+	// Subst's memo, paged by term ID. An entry is valid where its stamp
+	// equals gen, and each Subst call starts a new generation, so the many
+	// small substitutions of one encoding share the pages instead of each
+	// growing a map. Pages are allocated for the ID ranges Subst visits,
+	// which keeps an encoding over a long-lived context, full of dead
+	// terms, from paying for the whole ID space.
+	memo []*memoPage
+	gen  uint32
+}
+
+const memoPageShift = 7
+
+type memoPage struct {
+	gen [1 << memoPageShift]uint32
+	val [1 << memoPageShift]*smt.Term
 }
 
 // NewEncoder returns an encoder over ctx.
@@ -163,11 +179,16 @@ func (e *Encoder) FreshVar(hint string, width int) *smt.Term {
 
 // Subst substitutes store values for variables in t.
 func (e *Encoder) Subst(t *smt.Term, store *Store) *smt.Term {
-	memo := map[int]*smt.Term{}
+	e.gen++
+	if e.gen == 0 { // wrapped: no stamp may look current
+		clear(e.memo)
+		e.gen = 1
+	}
 	var walk func(x *smt.Term) *smt.Term
 	walk = func(x *smt.Term) *smt.Term {
-		if got, ok := memo[x.ID]; ok {
-			return got
+		pg, off := x.ID>>memoPageShift, x.ID&(1<<memoPageShift-1)
+		if pg < len(e.memo) && e.memo[pg] != nil && e.memo[pg].gen[off] == e.gen {
+			return e.memo[pg].val[off]
 		}
 		var out *smt.Term
 		switch x.Op {
@@ -176,7 +197,8 @@ func (e *Encoder) Subst(t *smt.Term, store *Store) *smt.Term {
 		case smt.OpBVConst, smt.OpBoolConst:
 			out = x
 		default:
-			args := make([]*smt.Term, len(x.Args))
+			var buf [3]*smt.Term // no term has more than three arguments
+			args := buf[:len(x.Args)]
 			changed := false
 			for i, a := range x.Args {
 				args[i] = walk(a)
@@ -190,7 +212,13 @@ func (e *Encoder) Subst(t *smt.Term, store *Store) *smt.Term {
 				out = e.rebuild(x, args)
 			}
 		}
-		memo[x.ID] = out
+		if pg >= len(e.memo) {
+			e.memo = append(e.memo, make([]*memoPage, pg+1-len(e.memo))...)
+		}
+		if e.memo[pg] == nil {
+			e.memo[pg] = new(memoPage)
+		}
+		e.memo[pg].gen[off], e.memo[pg].val[off] = e.gen, out
 		return out
 	}
 	return walk(t)
@@ -338,51 +366,52 @@ func (e *Encoder) encode(s Stmt, store *Store, path *smt.Term, res *Result) *smt
 // run.
 func (e *Encoder) merge(store *Store, cond *smt.Term, a, b *Store) {
 	// a and b are clones of store, so all three share one name table; the
-	// table's precomputed lexicographic order replaces the per-join sort.
+	// table's precomputed lexicographic order replaces the per-join sort,
+	// and bindings are read and written by id, not by name.
 	tbl := a.tbl
 	for _, id := range tbl.sorted {
-		name := tbl.names[id]
 		av, bv := a.at(id), b.at(id)
 		aok, bok := av != nil, bv != nil
 		switch {
 		case aok && bok:
 			if av == bv {
-				store.Set(name, av)
+				store.setID(id, av)
 			} else if av.IsBool() {
-				store.Set(name, e.ctx.BoolIte(cond, av, bv))
+				store.setID(id, e.ctx.BoolIte(cond, av, bv))
 			} else {
-				store.Set(name, e.ctx.Ite(cond, av, bv))
+				store.setID(id, e.ctx.Ite(cond, av, bv))
 			}
 		case aok:
 			// Variable assigned only in the then-branch; the else value is
 			// its prior value (or the symbolic initial value).
-			prior := priorValue(store, e.ctx, name, av)
+			prior := priorValue(store, e.ctx, id, av)
 			if av == prior {
-				store.Set(name, av)
+				store.setID(id, av)
 			} else if av.IsBool() {
-				store.Set(name, e.ctx.BoolIte(cond, av, prior))
+				store.setID(id, e.ctx.BoolIte(cond, av, prior))
 			} else {
-				store.Set(name, e.ctx.Ite(cond, av, prior))
+				store.setID(id, e.ctx.Ite(cond, av, prior))
 			}
 		case bok:
-			prior := priorValue(store, e.ctx, name, bv)
+			prior := priorValue(store, e.ctx, id, bv)
 			if bv == prior {
-				store.Set(name, bv)
+				store.setID(id, bv)
 			} else if bv.IsBool() {
-				store.Set(name, e.ctx.BoolIte(cond, prior, bv))
+				store.setID(id, e.ctx.BoolIte(cond, prior, bv))
 			} else {
-				store.Set(name, e.ctx.Ite(cond, prior, bv))
+				store.setID(id, e.ctx.Ite(cond, prior, bv))
 			}
 		}
 	}
 }
 
-func priorValue(store *Store, ctx *smt.Ctx, name string, like *smt.Term) *smt.Term {
-	if v, ok := store.Lookup(name); ok {
+// priorValue is the value store binds to name id, or else the name's
+// initial symbolic value: a variable term of like's sort.
+func priorValue(store *Store, ctx *smt.Ctx, id int, like *smt.Term) *smt.Term {
+	if v := store.at(id); v != nil {
 		return v
 	}
-	// The variable's initial symbolic value: a variable term of the same
-	// sort and name.
+	name := store.tbl.names[id]
 	if like.IsBool() {
 		return ctx.BoolVar(name)
 	}

@@ -18,11 +18,10 @@ import (
 // flushes before it returns or touches the SAT core, so the buffering is
 // invisible: the solver sees the same calls in the same order.
 type blaster struct {
-	sat       *sat.Solver
-	log       *sat.ClauseLog // nil when nothing is pending; from clauseLogs
-	bvCache   map[int][]sat.Lit
-	boolCache map[int]sat.Lit
-	litTrue   sat.Lit
+	sat     *sat.Solver
+	log     *sat.ClauseLog // nil when nothing is pending; from clauseLogs
+	cache   termCache
+	litTrue sat.Lit
 
 	// Instrumentation (plain fields: a blaster is single-goroutine).
 	// cacheHits/cacheMisses count bv()/boolLit() lookups against the
@@ -66,11 +65,7 @@ func (b *blaster) flush() {
 }
 
 func newBlaster(s *sat.Solver) *blaster {
-	b := &blaster{
-		sat:       s,
-		bvCache:   map[int][]sat.Lit{},
-		boolCache: map[int]sat.Lit{},
-	}
+	b := &blaster{sat: s}
 	v := s.NewVar()
 	b.litTrue = sat.MkLit(v, false)
 	s.AddClause(b.litTrue)
@@ -78,6 +73,69 @@ func newBlaster(s *sat.Solver) *blaster {
 }
 
 func (b *blaster) litFalse() sat.Lit { return b.litTrue.Not() }
+
+// termCache holds the literals of blasted terms in pointer-free arrays
+// indexed by term ID, so a snapshot of a blaster (snapshot.go) is three
+// slice copies and no map copies. bvAt[id] is 1 + the offset of the
+// term's bits in bvBits (Width literals), boolAt[id] is 1 + the term's
+// literal, and 0 marks a term not blasted yet.
+type termCache struct {
+	bvAt   []uint32
+	bvBits []sat.Lit
+	boolAt []sat.Lit
+}
+
+// fitID returns idx with room for index id, doubling when it must grow.
+func fitID[T uint32 | sat.Lit](idx []T, id int) []T {
+	if id < len(idx) {
+		return idx
+	}
+	n := make([]T, max(id+1, 2*len(idx), 1024))
+	copy(n, idx)
+	return n
+}
+
+// bv returns the bits of t if t has been blasted. The view is read-only
+// and stays valid: bvBits only grows.
+func (c *termCache) bv(t *Term) ([]sat.Lit, bool) {
+	if t.ID >= len(c.bvAt) || c.bvAt[t.ID] == 0 {
+		return nil, false
+	}
+	off := int(c.bvAt[t.ID] - 1)
+	return c.bvBits[off : off+t.Width : off+t.Width], true
+}
+
+// bool returns the literal of t if t has been blasted.
+func (c *termCache) bool(t *Term) (sat.Lit, bool) {
+	if t.ID >= len(c.boolAt) || c.boolAt[t.ID] == 0 {
+		return 0, false
+	}
+	return c.boolAt[t.ID] - 1, true
+}
+
+func (c *termCache) setBV(t *Term, bits []sat.Lit) {
+	c.bvAt = fitID(c.bvAt, t.ID)
+	c.bvAt[t.ID] = uint32(len(c.bvBits) + 1)
+	c.bvBits = append(c.bvBits, bits...)
+}
+
+func (c *termCache) setBool(t *Term, l sat.Lit) {
+	c.boolAt = fitID(c.boolAt, t.ID)
+	c.boolAt[t.ID] = l + 1
+}
+
+// clone copies the cache, capacities included, without zeroing the new
+// arrays first.
+func (c *termCache) clone() termCache {
+	return termCache{bvAt: dup(c.bvAt), bvBits: dup(c.bvBits), boolAt: dup(c.boolAt)}
+}
+
+func dup[T uint32 | sat.Lit](buf []T) []T {
+	return append(buf[:0:0], buf[:cap(buf)]...)[:len(buf):cap(buf)]
+}
+
+// bytes is the memory the cache holds.
+func (c *termCache) bytes() int { return 4 * (cap(c.bvAt) + cap(c.bvBits) + cap(c.boolAt)) }
 
 func (b *blaster) fresh() sat.Lit { return sat.MkLit(b.pending().NewVar(b.sat), false) }
 
@@ -171,7 +229,7 @@ func (b *blaster) fullAdder(x, y, cin sat.Lit) (sum, cout sat.Lit) {
 
 // bv blasts a bit-vector term into its literal vector, LSB first.
 func (b *blaster) bv(t *Term) []sat.Lit {
-	if got, ok := b.bvCache[t.ID]; ok {
+	if got, ok := b.cache.bv(t); ok {
 		b.cacheHits++
 		return got
 	}
@@ -266,7 +324,7 @@ func (b *blaster) bv(t *Term) []sat.Lit {
 		out = append(out, hi...)
 	case OpBVExtract:
 		a := b.bv(t.Args[0])
-		out = append([]sat.Lit(nil), a[t.Lo:t.Hi+1]...)
+		out = a[t.Lo : t.Hi+1] // stored by copy below
 	case OpBVIte:
 		c := b.boolLit(t.Args[0])
 		x := b.bv(t.Args[1])
@@ -278,7 +336,7 @@ func (b *blaster) bv(t *Term) []sat.Lit {
 	default:
 		panic(fmt.Sprintf("smt: blast: not a bit-vector op: %v", opNames[t.Op]))
 	}
-	b.bvCache[t.ID] = out
+	b.cache.setBV(t, out)
 	return out
 }
 
@@ -328,7 +386,7 @@ func (b *blaster) barrelShift(x []sat.Lit, sh []sat.Lit, isLeft bool) []sat.Lit 
 
 // boolLit blasts a boolean term into a single literal.
 func (b *blaster) boolLit(t *Term) sat.Lit {
-	if got, ok := b.boolCache[t.ID]; ok {
+	if got, ok := b.cache.bool(t); ok {
 		b.cacheHits++
 		return got
 	}
@@ -381,6 +439,6 @@ func (b *blaster) boolLit(t *Term) sat.Lit {
 	default:
 		panic(fmt.Sprintf("smt: blast: not a boolean op: %v", opNames[t.Op]))
 	}
-	b.boolCache[t.ID] = out
+	b.cache.setBool(t, out)
 	return out
 }

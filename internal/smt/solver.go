@@ -25,13 +25,17 @@ type Solver struct {
 	b   *blaster
 
 	asserted []*Term
-	blasted  map[int]bool // variable terms whose bits are allocated
+
+	// pristine holds until the first call that reaches the SAT core:
+	// only litTrue is loaded, so the first Indicator may start from a
+	// snapshot (snapshot.go).
+	pristine bool
 }
 
 // NewSolver returns a fresh solver over the given term context.
 func NewSolver(ctx *Ctx) *Solver {
 	s := sat.New()
-	return &Solver{ctx: ctx, sat: s, b: newBlaster(s), blasted: map[int]bool{}}
+	return &Solver{ctx: ctx, sat: s, b: newBlaster(s), pristine: true}
 }
 
 // Ctx returns the term context the solver operates over.
@@ -55,7 +59,10 @@ func (s *Solver) SetPreprocess(on bool) { s.sat.SetPreprocess(on) }
 
 // Preprocess runs one preprocessing round immediately; it returns false if
 // simplification alone proves the asserted constraints unsatisfiable.
-func (s *Solver) Preprocess() bool { return s.sat.Preprocess() }
+func (s *Solver) Preprocess() bool {
+	s.pristine = false
+	return s.sat.Preprocess()
+}
 
 // SetCancel installs a cancellation token on the SAT core: once it
 // becomes true, in-flight and future checks return Unknown at the next
@@ -144,6 +151,7 @@ func (s *Solver) NumSATVars() int { return s.sat.NumVars() }
 // Assert adds a boolean term as a hard constraint.
 func (s *Solver) Assert(t *Term) {
 	mustBool("Assert", t)
+	s.pristine = false
 	s.asserted = append(s.asserted, t)
 	l := s.b.boolLit(t)
 	s.b.flush()
@@ -155,10 +163,20 @@ func (s *Solver) Assert(t *Term) {
 // The literal's variable is frozen: an activation literal's truth varies
 // per query, so CNF preprocessing must never resolve it away between
 // incremental checks.
+//
+// On a fresh solver the first Indicator goes through the context's
+// snapshots: the solver may start as a copy of an earlier fresh solver
+// that blasted the same term, identical to blasting it here.
 func (s *Solver) Indicator(t *Term) sat.Lit {
 	mustBool("Indicator", t)
-	l := s.b.boolLit(t)
-	s.b.flush()
+	var l sat.Lit
+	if s.pristine {
+		s.pristine = false
+		l = s.blastFirst(t)
+	} else {
+		l = s.b.boolLit(t)
+		s.b.flush()
+	}
 	s.sat.FreezeVar(l.Var())
 	return l
 }
@@ -171,7 +189,10 @@ func (s *Solver) Indicator(t *Term) sat.Lit {
 // reclaimable. If the condition recurs, Indicator re-freezes the
 // variable (restoring it first if it was eliminated), so retirement is
 // always safe, even speculatively.
-func (s *Solver) Retire(l sat.Lit) { s.sat.UnfreezeVar(l.Var()) }
+func (s *Solver) Retire(l sat.Lit) {
+	s.pristine = false
+	s.sat.UnfreezeVar(l.Var())
+}
 
 // Check determines satisfiability of the asserted constraints under the
 // given boolean assumption terms.
@@ -180,11 +201,12 @@ func (s *Solver) Check(assumptions ...*Term) Status {
 	for i, a := range assumptions {
 		lits[i] = s.Indicator(a)
 	}
-	return s.sat.Solve(lits...)
+	return s.CheckLits(lits...)
 }
 
 // CheckLits is Check with pre-blasted assumption literals.
 func (s *Solver) CheckLits(assumptions ...sat.Lit) Status {
+	s.pristine = false
 	return s.sat.Solve(assumptions...)
 }
 
@@ -236,7 +258,7 @@ func (s *Solver) Model() *Model {
 		stack = stack[:len(stack)-1]
 		switch t.Op {
 		case OpBVVar:
-			if lits, ok := s.b.bvCache[t.ID]; ok {
+			if lits, ok := s.b.cache.bv(t); ok {
 				v := new(big.Int)
 				for i, l := range lits {
 					if s.litValue(l) {
@@ -246,7 +268,7 @@ func (s *Solver) Model() *Model {
 				env.BV[t.Name] = v
 			}
 		case OpBoolVar:
-			if l, ok := s.b.boolCache[t.ID]; ok {
+			if l, ok := s.b.cache.bool(t); ok {
 				env.Bool[t.Name] = s.litValue(l)
 			}
 		}
@@ -272,7 +294,7 @@ func (s *Solver) ModelCollect(m *Model, terms ...*Term) {
 		for _, v := range Vars(t) {
 			switch v.Op {
 			case OpBVVar:
-				if lits, ok := s.b.bvCache[v.ID]; ok {
+				if lits, ok := s.b.cache.bv(v); ok {
 					val := new(big.Int)
 					for i, l := range lits {
 						if s.litValue(l) {
@@ -282,7 +304,7 @@ func (s *Solver) ModelCollect(m *Model, terms ...*Term) {
 					m.env.BV[v.Name] = val
 				}
 			case OpBoolVar:
-				if l, ok := s.b.boolCache[v.ID]; ok {
+				if l, ok := s.b.cache.bool(v); ok {
 					m.env.Bool[v.Name] = s.litValue(l)
 				}
 			}

@@ -177,6 +177,9 @@ type Ctx struct {
 	// releasedTerms counts terms discarded by Release — the streaming VC
 	// driver's "transient slice terms freed" figure.
 	releasedTerms int64
+
+	// snaps holds solver snapshots keyed by the term blasted (snapshot.go).
+	snaps snapCache
 }
 
 // InternStats reports hash-consing hits and misses and the number of
@@ -422,6 +425,9 @@ func (c *Ctx) Release(mark int) {
 	if mark == c.created {
 		return
 	}
+	// Released IDs are reused, so a snapshot keyed by one could be cloned
+	// for a different term.
+	c.snaps.drop()
 	c.releasedTerms += int64(c.created - mark)
 	// Zero the released tail of the boundary chunk and drop whole chunks
 	// past it (nil-ing the dropped slots so the backing arrays are not

@@ -128,3 +128,27 @@ func TestForEach(t *testing.T) {
 	}
 	ForEach(4, 0, func(i int) { t.Fatal("callback on empty range") })
 }
+
+// TestRunDropsSnapshots checks that a find-all run leaves no solver
+// snapshots on the context its Report keeps. The DC gateway's 13
+// conditions are 9 distinct terms, so its fresh solvers capture some.
+func TestRunDropsSnapshots(t *testing.T) {
+	bm := progs.DCGatewayBench()
+	prog, err := bm.Parse()
+	if err != nil {
+		t.Fatal(err)
+	}
+	spec, err := lpi.Parse(progs.InvalidHeaderAccessSpec(prog, bm.Calls))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, par := range []int{1, 2} {
+		rep, err := Run(prog, nil, spec, Options{FindAll: true, Parallel: par})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if b := rep.Ctx.SnapshotBytes(); b != 0 {
+			t.Fatalf("parallel %d: the report's context holds %d snapshot bytes", par, b)
+		}
+	}
+}

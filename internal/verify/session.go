@@ -264,6 +264,7 @@ func (s *Session) ensureSolver() *sharedSolver {
 // re-slice through the persistent slicer, then replay or re-check each
 // assertion. delta is nil for the baseline run.
 func (s *Session) run(delta *tables.Delta) (*Report, error) {
+	defer s.ctx.DropSnapshots() // the session's Ctx lives on; its snapshots need not
 	o := s.opts.Observer()
 	t0 := time.Now()
 	eopts := s.opts.Encode
