@@ -390,11 +390,10 @@ func BenchmarkSolver_BitBlast(b *testing.B) {
 	}
 }
 
-// switchConds encodes the Table 3 "Switch from vendor" program (the
-// switch-cold ledger workload) into a new context and returns eight of its
-// distinct violation conditions, spread evenly over them: its 142
-// conditions are 14 distinct terms.
-func switchConds(b *testing.B) (*smt.Ctx, []*smt.Term) {
+// switchViolations encodes the Table 3 "Switch from vendor" program (the
+// switch-cold ledger workload) into a new context and returns its 142
+// violation conditions in assertion order: 14 distinct terms.
+func switchViolations(b *testing.B) (*smt.Ctx, []*smt.Term) {
 	var bm *progs.Benchmark
 	for _, p := range genprog.Table3Suite() {
 		if p.Name == "Switch from vendor" {
@@ -418,10 +417,21 @@ func switchConds(b *testing.B) (*smt.Ctx, []*smt.Term) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	var distinct []*smt.Term
+	var conds []*smt.Term
 	for _, v := range gcl.NewEncoder(ctx).Encode(program, nil).Violations {
-		if !slices.Contains(distinct, v.Cond) {
-			distinct = append(distinct, v.Cond)
+		conds = append(conds, v.Cond)
+	}
+	return ctx, conds
+}
+
+// switchConds returns eight of the switch's distinct violation conditions
+// in a new context, spread evenly over them.
+func switchConds(b *testing.B) (*smt.Ctx, []*smt.Term) {
+	ctx, all := switchViolations(b)
+	var distinct []*smt.Term
+	for _, c := range all {
+		if !slices.Contains(distinct, c) {
+			distinct = append(distinct, c)
 		}
 	}
 	const n = 8
@@ -448,8 +458,8 @@ func checkFresh(b *testing.B, ctx *smt.Ctx, conds []*smt.Term) {
 // BenchmarkFreshBlastSwitch is the fresh-solver path of the switch-cold
 // workload: every iteration blasts eight distinct switch conditions, each
 // on a fresh solver, and checks them. Each iteration encodes into a new
-// context (untimed), so no condition has been seen before and none starts
-// from a snapshot. Run with -benchmem; B/op and allocs/op are what sizing
+// context (untimed), so no condition has been seen before and none is
+// answered by the verdict memo. Run with -benchmem; B/op and allocs/op are what sizing
 // each solver once per blasted term exists to cut.
 func BenchmarkFreshBlastSwitch(b *testing.B) {
 	b.ReportAllocs()
@@ -461,22 +471,16 @@ func BenchmarkFreshBlastSwitch(b *testing.B) {
 	}
 }
 
-// BenchmarkSnapshotCloneSwitch is BenchmarkFreshBlastSwitch's work when
-// every condition recurs: each has been blasted twice before the timer
-// starts, so every fresh solver starts as a clone of its snapshot.
-func BenchmarkSnapshotCloneSwitch(b *testing.B) {
-	ctx, conds := switchConds(b)
-	for range 2 {
-		for _, c := range conds {
-			smt.NewSolver(ctx).Indicator(c)
-		}
-	}
-	if ctx.SnapshotBytes() == 0 {
-		b.Fatal("no snapshot was captured")
-	}
+// BenchmarkFreshChecksSwitch is the switch-cold workload's solving: every
+// iteration checks all 142 switch conditions, each on a fresh solver, over
+// one new context (encoded untimed). The 128 that repeat an earlier Unsat
+// condition are answered by the context's verdict memo.
+func BenchmarkFreshChecksSwitch(b *testing.B) {
 	b.ReportAllocs()
-	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
+		b.StopTimer()
+		ctx, conds := switchViolations(b)
+		b.StartTimer()
 		checkFresh(b, ctx, conds)
 	}
 }

@@ -12,6 +12,10 @@ import (
 // sequence from valid headers, then the unparsed remainder of the input
 // packet is appended (Appendix B.4), then checksum updates run.
 func (e *Env) EncodeDeparser(name string) (gcl.Stmt, error) {
+	return e.reused("deparser "+name, "", func() (gcl.Stmt, error) { return e.encodeDeparser(name) })
+}
+
+func (e *Env) encodeDeparser(name string) (gcl.Stmt, error) {
 	dp, ok := e.Prog.Deparsers[name]
 	if !ok {
 		return nil, fmt.Errorf("encode: unknown deparser %q", name)

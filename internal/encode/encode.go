@@ -156,6 +156,8 @@ type Env struct {
 	// walks verification conditions against this index to decide which
 	// tables an assertion's cone of influence touches.
 	tableTerms map[string][]*smt.Term
+
+	reuse *Reuse // SetReuse; nil encodes every part
 }
 
 // TableTerms returns the terms recorded for a fully-qualified table
@@ -403,6 +405,11 @@ func (e *Env) SelectOrderAt(idx *smt.Term) *smt.Term {
 // headers invalid, ghosts cleared, counters zeroed. Standard metadata and
 // registers stay symbolic unless the spec constrains them.
 func (e *Env) InitStmts() gcl.Stmt {
+	s, _ := e.reused("init", "", func() (gcl.Stmt, error) { return e.initStmts(), nil })
+	return s
+}
+
+func (e *Env) initStmts() gcl.Stmt {
 	c := e.Ctx
 	var out []gcl.Stmt
 	for _, inst := range e.headers {

@@ -11,6 +11,10 @@ import (
 // EncodeParser compiles a parser state machine to GCL using the configured
 // mode.
 func (e *Env) EncodeParser(name string) (gcl.Stmt, error) {
+	return e.reused("parser "+name, "", func() (gcl.Stmt, error) { return e.encodeParser(name) })
+}
+
+func (e *Env) encodeParser(name string) (gcl.Stmt, error) {
 	pr, ok := e.Prog.Parsers[name]
 	if !ok {
 		return nil, fmt.Errorf("encode: unknown parser %q", name)

@@ -162,6 +162,11 @@ func (e *Env) encodeTableApply(ctl *p4.Control, tbl *p4.Table) (gcl.Stmt, error)
 	if tbl == nil {
 		return nil, fmt.Errorf("encode: nil table")
 	}
+	fq := ctl.Name + "." + tbl.Name
+	return e.reused("table "+fq, fq, func() (gcl.Stmt, error) { return e.encodeTable(ctl, tbl) })
+}
+
+func (e *Env) encodeTable(ctl *p4.Control, tbl *p4.Table) (gcl.Stmt, error) {
 	c := e.Ctx
 	keys := make([]*smt.Term, len(tbl.Keys))
 	for i, k := range tbl.Keys {

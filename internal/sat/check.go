@@ -6,8 +6,8 @@ import (
 )
 
 // Invariant checks for differential tests: here and in the smt layer,
-// whose snapshot clones must leave solvers identical to ones built from
-// scratch.
+// whose verdict memo must leave a solver it materializes identical to one
+// that made the same calls itself.
 
 // CheckWatches verifies the watch-list invariants: every list lies inside
 // the slab with n <= cap, no two lists' regions overlap, and every live

@@ -47,6 +47,9 @@ func (s *Solver) SetProgress(every int64, fn func(Progress)) {
 	s.progressNext = s.Conflicts + every
 }
 
+// HasProgress reports whether a progress hook is installed.
+func (s *Solver) HasProgress() bool { return s.progressFn != nil }
+
 func (s *Solver) progressSample() Progress {
 	return Progress{
 		Conflicts:    s.Conflicts,

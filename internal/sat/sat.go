@@ -331,6 +331,26 @@ func (s *Solver) SetCancel(c *atomic.Bool) { s.cancel = c }
 // cancellation token fired, as opposed to exhausting its conflict budget.
 func (s *Solver) Canceled() bool { return s.canceled }
 
+// CancelToken returns the installed cancellation token, nil if none.
+func (s *Solver) CancelToken() *atomic.Bool { return s.cancel }
+
+// Config is the part of a solver's setup that steers its search. Search
+// is deterministic: two solvers with equal configurations that load the
+// same clauses and make the same Solve calls take the same search and
+// reach the same state. The cancellation token and the progress hook are
+// not part of it; they only stop or watch a search.
+type Config struct {
+	Budget     int64   // SetBudget
+	LearntCap  float64 // SetLearntCap
+	MaxLearnts float64 // the learnt-database limit the next search starts from
+	Preprocess bool    // SetPreprocess
+}
+
+// Config returns the solver's current search configuration.
+func (s *Solver) Config() Config {
+	return Config{Budget: s.budget, LearntCap: s.learntCap, MaxLearnts: s.maxLearnts, Preprocess: s.prep}
+}
+
 func (s *Solver) value(l Lit) lbool {
 	v := s.assigns[l.Var()]
 	if v == lUndef {

@@ -75,10 +75,10 @@ func newBlaster(s *sat.Solver) *blaster {
 func (b *blaster) litFalse() sat.Lit { return b.litTrue.Not() }
 
 // termCache holds the literals of blasted terms in pointer-free arrays
-// indexed by term ID, so a snapshot of a blaster (snapshot.go) is three
-// slice copies and no map copies. bvAt[id] is 1 + the offset of the
-// term's bits in bvBits (Width literals), boolAt[id] is 1 + the term's
-// literal, and 0 marks a term not blasted yet.
+// indexed by term ID, which the garbage collector never scans. bvAt[id]
+// is 1 + the offset of the term's bits in bvBits (Width literals),
+// boolAt[id] is 1 + the term's literal, and 0 marks a term not blasted
+// yet.
 type termCache struct {
 	bvAt   []uint32
 	bvBits []sat.Lit
@@ -123,19 +123,6 @@ func (c *termCache) setBool(t *Term, l sat.Lit) {
 	c.boolAt = fitID(c.boolAt, t.ID)
 	c.boolAt[t.ID] = l + 1
 }
-
-// clone copies the cache, capacities included, without zeroing the new
-// arrays first.
-func (c *termCache) clone() termCache {
-	return termCache{bvAt: dup(c.bvAt), bvBits: dup(c.bvBits), boolAt: dup(c.boolAt)}
-}
-
-func dup[T uint32 | sat.Lit](buf []T) []T {
-	return append(buf[:0:0], buf[:cap(buf)]...)[:len(buf):cap(buf)]
-}
-
-// bytes is the memory the cache holds.
-func (c *termCache) bytes() int { return 4 * (cap(c.bvAt) + cap(c.bvBits) + cap(c.boolAt)) }
 
 func (b *blaster) fresh() sat.Lit { return sat.MkLit(b.pending().NewVar(b.sat), false) }
 

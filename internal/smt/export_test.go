@@ -7,40 +7,32 @@ import (
 	"aquila/internal/sat"
 )
 
-// Test hooks for the external snapshot tests (snapshot_test.go), which
-// need verification conditions from packages that import smt.
+// Test hooks for the external memo tests (memo_test.go), which need
+// verification conditions from packages that import smt.
 
 // BlastFromScratch blasts t into s without consulting the context's
-// snapshots, as Indicator did before snapshots existed.
+// verdict memo, as Indicator did before the memo existed.
 func BlastFromScratch(s *Solver, t *Term) sat.Lit {
-	s.pristine = false
+	s.phase = phaseLive
 	return s.Indicator(t)
 }
 
-// HasSnapshot reports whether ctx holds a snapshot for t.
-func HasSnapshot(ctx *Ctx, t *Term) bool {
-	ctx.snaps.mu.Lock()
-	defer ctx.snaps.mu.Unlock()
-	return ctx.snaps.snaps[t.ID] != nil
-}
-
-// SetSnapshotLimit lowers ctx's snapshot byte limit.
-func SetSnapshotLimit(ctx *Ctx, bytes int) { ctx.snaps.limit = bytes }
-
-// SnapshotState returns the blasted-state byte size CloneFrom would copy
-// for s, as the snapshot cache counts it.
-func SnapshotState(s *Solver) int {
-	return s.sat.StateBytes() + s.b.cache.bytes()
-}
+// Served reports whether s is answering from a memo record.
+func Served(s *Solver) bool { return s.phase == phaseHit || s.phase == phaseHitChecked }
 
 // Conflict returns the SAT core's final conflict after an Unsat verdict.
-func Conflict(s *Solver) []sat.Lit { return s.sat.Conflict() }
+func Conflict(s *Solver) []sat.Lit {
+	s.live()
+	return s.sat.Conflict()
+}
 
 // SolverDiff reports the first difference between two solvers' SAT state
 // (sat.StateDiff, plus the watch-list invariants of each), blaster caches
-// and blaster counters, or nil if there is none.
+// and blaster counters, or nil if there is none. A solver answering from
+// the memo is materialized first.
 func SolverDiff(a, b *Solver) error {
 	for _, s := range []*Solver{a, b} {
+		s.live()
 		if err := sat.CheckWatches(s.sat); err != nil {
 			return err
 		}

@@ -26,16 +26,19 @@ type Solver struct {
 
 	asserted []*Term
 
-	// pristine holds until the first call that reaches the SAT core:
-	// only litTrue is loaded, so the first Indicator may start from a
-	// snapshot (snapshot.go).
-	pristine bool
+	// Verdict memo state (memo.go): where the solver stands, the key of
+	// its first check, the term of a hit, and the record it fills or
+	// serves.
+	phase memoPhase
+	key   memoKey
+	first *Term
+	rec   *memoRecord
 }
 
 // NewSolver returns a fresh solver over the given term context.
 func NewSolver(ctx *Ctx) *Solver {
 	s := sat.New()
-	return &Solver{ctx: ctx, sat: s, b: newBlaster(s), pristine: true}
+	return &Solver{ctx: ctx, sat: s, b: newBlaster(s)}
 }
 
 // Ctx returns the term context the solver operates over.
@@ -43,35 +46,50 @@ func (s *Solver) Ctx() *Ctx { return s.ctx }
 
 // SetBudget bounds the number of SAT conflicts for subsequent checks;
 // exceeding it yields Unknown. Negative removes the bound.
-func (s *Solver) SetBudget(conflicts int64) { s.sat.SetBudget(conflicts) }
+func (s *Solver) SetBudget(conflicts int64) {
+	s.settle()
+	s.sat.SetBudget(conflicts)
+}
 
 // SetLearntCap bounds the learnt-clause database of the underlying SAT
 // core. Long-lived incremental solvers answering many queries use this to
 // keep memory flat; values <= 0 remove the bound.
-func (s *Solver) SetLearntCap(n int) { s.sat.SetLearntCap(n) }
+func (s *Solver) SetLearntCap(n int) {
+	s.settle()
+	s.sat.SetLearntCap(n)
+}
 
 // SetPreprocess enables SatELite-style CNF preprocessing (subsumption,
 // self-subsuming resolution, bounded variable elimination) in the SAT
 // core. Models are reconstructed for eliminated variables and assumption/
 // indicator variables are exempt, so verdicts, models, and unsat cores are
 // unchanged; only the search gets cheaper.
-func (s *Solver) SetPreprocess(on bool) { s.sat.SetPreprocess(on) }
+func (s *Solver) SetPreprocess(on bool) {
+	s.settle()
+	s.sat.SetPreprocess(on)
+}
 
 // Preprocess runs one preprocessing round immediately; it returns false if
 // simplification alone proves the asserted constraints unsatisfiable.
 func (s *Solver) Preprocess() bool {
-	s.pristine = false
+	s.live()
 	return s.sat.Preprocess()
 }
 
 // SetCancel installs a cancellation token on the SAT core: once it
 // becomes true, in-flight and future checks return Unknown at the next
 // cooperative poll. nil removes the token.
-func (s *Solver) SetCancel(c *atomic.Bool) { s.sat.SetCancel(c) }
+func (s *Solver) SetCancel(c *atomic.Bool) {
+	s.settle()
+	s.sat.SetCancel(c)
+}
 
 // Stats returns (decisions, conflicts, propagations) of the underlying SAT
 // solver.
 func (s *Solver) Stats() (int64, int64, int64) {
+	if ss, ok := s.recorded(); ok {
+		return ss.Decisions, ss.Conflicts, ss.Propagations
+	}
 	return s.sat.Decisions, s.sat.Conflicts, s.sat.Propagations
 }
 
@@ -104,6 +122,9 @@ type SolverStats struct {
 
 // SolverStats snapshots the instance's counters.
 func (s *Solver) SolverStats() SolverStats {
+	if ss, ok := s.recorded(); ok {
+		return ss
+	}
 	return SolverStats{
 		Decisions:      s.sat.Decisions,
 		Conflicts:      s.sat.Conflicts,
@@ -138,20 +159,31 @@ type SolveProgress = sat.Progress
 // subsequent checks (nil fn or every <= 0 disables). The callback runs
 // on the solving goroutine; see sat.Solver.SetProgress.
 func (s *Solver) SetProgress(every int64, fn func(SolveProgress)) {
+	s.settle()
 	s.sat.SetProgress(every, fn)
 }
 
 // NumClauses reports the size of the generated CNF, a proxy for solver
 // memory (what the paper reports as verification memory).
-func (s *Solver) NumClauses() int { return s.sat.NumClauses() }
+func (s *Solver) NumClauses() int {
+	if ss, ok := s.recorded(); ok {
+		return ss.Clauses
+	}
+	return s.sat.NumClauses()
+}
 
 // NumSATVars reports the number of allocated SAT variables.
-func (s *Solver) NumSATVars() int { return s.sat.NumVars() }
+func (s *Solver) NumSATVars() int {
+	if ss, ok := s.recorded(); ok {
+		return ss.SATVars
+	}
+	return s.sat.NumVars()
+}
 
 // Assert adds a boolean term as a hard constraint.
 func (s *Solver) Assert(t *Term) {
 	mustBool("Assert", t)
-	s.pristine = false
+	s.live()
 	s.asserted = append(s.asserted, t)
 	l := s.b.boolLit(t)
 	s.b.flush()
@@ -165,18 +197,21 @@ func (s *Solver) Assert(t *Term) {
 // incremental checks.
 //
 // On a fresh solver the first Indicator goes through the context's
-// snapshots: the solver may start as a copy of an earlier fresh solver
-// that blasted the same term, identical to blasting it here.
+// verdict memo (memo.go): if its check repeats one an earlier fresh
+// solver proved Unsat, nothing is blasted until a call needs it.
 func (s *Solver) Indicator(t *Term) sat.Lit {
 	mustBool("Indicator", t)
-	var l sat.Lit
-	if s.pristine {
-		s.pristine = false
-		l = s.blastFirst(t)
-	} else {
-		l = s.b.boolLit(t)
-		s.b.flush()
+	if s.phase == phaseFresh {
+		return s.firstIndicator(t)
 	}
+	s.live()
+	return s.blast(t)
+}
+
+// blast loads t's CNF and freezes its literal's variable.
+func (s *Solver) blast(t *Term) sat.Lit {
+	l := s.b.boolLit(t)
+	s.b.flush()
 	s.sat.FreezeVar(l.Var())
 	return l
 }
@@ -190,7 +225,7 @@ func (s *Solver) Indicator(t *Term) sat.Lit {
 // variable (restoring it first if it was eliminated), so retirement is
 // always safe, even speculatively.
 func (s *Solver) Retire(l sat.Lit) {
-	s.pristine = false
+	s.live()
 	s.sat.UnfreezeVar(l.Var())
 }
 
@@ -206,13 +241,17 @@ func (s *Solver) Check(assumptions ...*Term) Status {
 
 // CheckLits is Check with pre-blasted assumption literals.
 func (s *Solver) CheckLits(assumptions ...sat.Lit) Status {
-	s.pristine = false
+	if st, ok := s.firstCheck(assumptions); ok {
+		return st
+	}
+	s.live()
 	return s.sat.Solve(assumptions...)
 }
 
 // UnsatAssumptions returns, after an Unsat verdict under assumptions, the
 // subset of assumption indices that participated in the conflict.
 func (s *Solver) UnsatAssumptions(assumptions []*Term) []int {
+	s.live()
 	conflict := s.sat.Conflict()
 	inConflict := map[sat.Lit]bool{}
 	for _, l := range conflict {
@@ -237,6 +276,7 @@ type Model struct {
 // Model returns the model after a Sat verdict. Variables that were never
 // part of the blasted formula evaluate to zero/false.
 func (s *Solver) Model() *Model {
+	s.live()
 	env := NewEnv()
 	// Walk every asserted term's variables and read their bits back. The
 	// walk keeps an explicit stack: VC terms from deep parser state spaces
@@ -290,6 +330,7 @@ func (s *Solver) litValue(l sat.Lit) bool {
 // ModelCollect extends the model with variables reachable from extra terms
 // (e.g. assumption terms not asserted).
 func (s *Solver) ModelCollect(m *Model, terms ...*Term) {
+	s.live()
 	for _, t := range terms {
 		for _, v := range Vars(t) {
 			switch v.Op {

@@ -178,8 +178,9 @@ type Ctx struct {
 	// driver's "transient slice terms freed" figure.
 	releasedTerms int64
 
-	// snaps holds solver snapshots keyed by the term blasted (snapshot.go).
-	snaps snapCache
+	// memo holds the Unsat verdicts of fresh solvers' first checks
+	// (memo.go).
+	memo verdictMemo
 }
 
 // InternStats reports hash-consing hits and misses and the number of
@@ -425,9 +426,9 @@ func (c *Ctx) Release(mark int) {
 	if mark == c.created {
 		return
 	}
-	// Released IDs are reused, so a snapshot keyed by one could be cloned
+	// Released IDs are reused, so a verdict keyed by one could be served
 	// for a different term.
-	c.snaps.drop()
+	c.memo.drop()
 	c.releasedTerms += int64(c.created - mark)
 	// Zero the released tail of the boundary chunk and drop whole chunks
 	// past it (nil-ing the dropped slots so the backing arrays are not

@@ -129,10 +129,11 @@ func TestForEach(t *testing.T) {
 	ForEach(4, 0, func(i int) { t.Fatal("callback on empty range") })
 }
 
-// TestRunDropsSnapshots checks that a find-all run leaves no solver
-// snapshots on the context its Report keeps. The DC gateway's 13
-// conditions are 9 distinct terms, so its fresh solvers capture some.
-func TestRunDropsSnapshots(t *testing.T) {
+// TestRunDropsMemo checks that a find-all run leaves no recorded
+// verdicts on the context its Report keeps. Three of the DC gateway's 13
+// conditions repeat an earlier Unsat one, so its fresh solvers record
+// some.
+func TestRunDropsMemo(t *testing.T) {
 	bm := progs.DCGatewayBench()
 	prog, err := bm.Parse()
 	if err != nil {
@@ -147,8 +148,8 @@ func TestRunDropsSnapshots(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if b := rep.Ctx.SnapshotBytes(); b != 0 {
-			t.Fatalf("parallel %d: the report's context holds %d snapshot bytes", par, b)
+		if n := rep.Ctx.MemoLen(); n != 0 {
+			t.Fatalf("parallel %d: the report's context holds %d recorded verdicts", par, n)
 		}
 	}
 }

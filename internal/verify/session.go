@@ -23,6 +23,11 @@ import (
 //     snapshot re-interns every formula a delta did not touch to the
 //     SAME pointer — pointer identity over the warm context IS the
 //     change detector;
+//   - the previous run's prologue, parser, deparser and table-apply
+//     encodings (encode.Reuse), so a delta re-encodes only the tables it
+//     touches and the glue around them, and the VC generator's state
+//     after the statements the runs share (gcl.Resumer), so vcgen starts
+//     where the programs first differ;
 //   - the cone-of-influence slicer with its factorization and
 //     variable-support memos, so only conjunct lists involving new
 //     terms are re-factored;
@@ -59,9 +64,11 @@ type Session struct {
 	spec *lpi.Spec
 	opts Options
 
-	ctx  *smt.Ctx
-	mark int // arena watermark at creation, for Compact
-	snap *tables.Snapshot
+	ctx   *smt.Ctx
+	mark  int // arena watermark at creation, for Compact
+	snap  *tables.Snapshot
+	reuse *encode.Reuse
+	vcgen *gcl.Resumer
 
 	slicer *slicer
 
@@ -131,6 +138,8 @@ func NewSession(prog *p4.Program, snap *tables.Snapshot, spec *lpi.Spec, opts Op
 		ctx:    ctx,
 		mark:   ctx.Mark(),
 		snap:   snap.Clone(),
+		reuse:  encode.NewReuse(),
+		vcgen:  gcl.NewResumer(ctx),
 		slicer: newSlicer(ctx),
 		live:   map[*smt.Term]bool{},
 	}
@@ -180,6 +189,9 @@ func (s *Session) Apply(delta *tables.Delta) (*Report, error) {
 		return nil, err
 	}
 	s.snap = next
+	for _, fq := range delta.Tables() {
+		s.reuse.Forget(fq)
+	}
 	s.stats.Deltas++
 	return s.run(delta)
 }
@@ -208,15 +220,17 @@ func (s *Session) Affected(delta *tables.Delta) []string {
 }
 
 // Compact releases the session's warm memory: the shared solver, the
-// verdict cache, the slicer memos, and the term arena (rolled back to
-// the creation watermark). The session stays usable — the next Apply
-// re-encodes and re-checks everything from scratch, exactly as a new
-// session would. Reports previously returned keep their rendered bytes
+// verdict cache, the stored encodings and vcgen state, the slicer memos,
+// and the term arena (rolled back to the creation watermark). The
+// session stays usable — the next Apply re-encodes and re-checks
+// everything from scratch, exactly as a new session would. Reports previously returned keep their rendered bytes
 // (JSON, Cex strings) but their term-level internals (Ctx, Env, Result,
 // Violation.Cond/Model) must not be used afterwards.
 func (s *Session) Compact() {
 	s.dropSolver()
 	s.cache = nil
+	s.reuse = encode.NewReuse()
+	s.vcgen = gcl.NewResumer(s.ctx)
 	s.dropDeps()
 	s.slicer = newSlicer(s.ctx)
 	s.base = nil
@@ -239,6 +253,8 @@ func (s *Session) dropDeps() {
 func (s *Session) Close() {
 	s.dropSolver()
 	s.cache = nil
+	s.reuse = nil
+	s.vcgen = nil
 	s.dropDeps()
 	s.slicer = nil
 	s.base = nil
@@ -264,13 +280,14 @@ func (s *Session) ensureSolver() *sharedSolver {
 // re-slice through the persistent slicer, then replay or re-check each
 // assertion. delta is nil for the baseline run.
 func (s *Session) run(delta *tables.Delta) (*Report, error) {
-	defer s.ctx.DropSnapshots() // the session's Ctx lives on; its snapshots need not
+	defer s.ctx.DropMemo() // the session's Ctx lives on; its recorded verdicts need not
 	o := s.opts.Observer()
 	t0 := time.Now()
 	eopts := s.opts.Encode
 	eopts.TrackModified = lpi.TrackModified(s.spec)
 	endEncode := o.Phase(0, "encode")
 	env := encode.NewEnv(s.ctx, s.prog, s.snap, eopts)
+	env.SetReuse(s.reuse)
 	endEncode()
 	endCompose := o.Phase(0, "compose")
 	program, err := lpi.NewCompiler(s.spec, env).Compile()
@@ -279,7 +296,7 @@ func (s *Session) run(delta *tables.Delta) (*Report, error) {
 		return nil, err
 	}
 	endVCGen := o.Phase(0, "vcgen")
-	res := gcl.NewEncoder(s.ctx).Encode(program, nil)
+	res := s.vcgen.Encode(program)
 	endVCGen()
 
 	rep := &Report{

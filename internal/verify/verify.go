@@ -468,7 +468,7 @@ func RunWithEnv(ctx *smt.Ctx, env *encode.Env, spec *lpi.Spec, opts Options) (*R
 	if err := opts.Validate(); err != nil {
 		return nil, err
 	}
-	defer ctx.DropSnapshots() // the Report keeps ctx; its solver snapshots go
+	defer ctx.DropMemo() // the Report keeps ctx; its recorded verdicts go
 	o := opts.Observer()
 	// Intern stats are cumulative on the (possibly reused) context; publish
 	// only this run's delta to the registry.
