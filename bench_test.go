@@ -10,7 +10,9 @@ package aquila
 import (
 	"fmt"
 	"io"
+	"math/rand"
 	"slices"
+	"strings"
 	"testing"
 
 	"aquila/internal/bench"
@@ -19,8 +21,10 @@ import (
 	"aquila/internal/genprog"
 	"aquila/internal/lpi"
 	"aquila/internal/obs"
+	"aquila/internal/p4"
 	"aquila/internal/progs"
 	"aquila/internal/smt"
+	"aquila/internal/tables"
 	"aquila/internal/verify"
 )
 
@@ -482,5 +486,96 @@ func BenchmarkFreshChecksSwitch(b *testing.B) {
 		ctx, conds := switchViolations(b)
 		b.StartTimer()
 		checkFresh(b, ctx, conds)
+	}
+}
+
+// ecmpSession returns the DC gateway with a 1024-entry ECMP table, the
+// invalid-header-access spec without the items that snapshot violates
+// (so every state holds, as on a serving daemon), and the snapshot.
+func ecmpSession(b *testing.B) (*p4.Program, *lpi.Spec, *tables.Snapshot) {
+	bm := progs.DCGatewayBench()
+	prog, err := bm.Parse()
+	if err != nil {
+		b.Fatal(err)
+	}
+	rng := rand.New(rand.NewSource(1))
+	snap := tables.NewSnapshot()
+	for i := 0; i < ecmpEntries; i++ {
+		snap.Add(ecmpTable, &tables.Entry{Keys: []tables.KeyMatch{tables.Exact(uint64(i))},
+			Action: "set_nhop", Args: []uint64{uint64(1 + rng.Intn(8))}, Priority: -1})
+	}
+	full := progs.InvalidHeaderAccessSpec(prog, bm.Calls)
+	spec, err := lpi.Parse(full)
+	if err != nil {
+		b.Fatal(err)
+	}
+	rep, err := verify.Run(prog, snap, spec, verify.Options{FindAll: true, Parallel: 1})
+	if err != nil {
+		b.Fatal(err)
+	}
+	drop := map[int]bool{}
+	for _, v := range rep.Violations {
+		drop[v.Info.Index] = true
+	}
+	var kept []string
+	item := 0
+	for _, ln := range strings.Split(full, "\n") {
+		if strings.Contains(ln, "applied(") {
+			item++
+			if drop[item-1] {
+				continue
+			}
+		}
+		kept = append(kept, ln)
+	}
+	if spec, err = lpi.Parse(strings.Join(kept, "\n")); err != nil {
+		b.Fatal(err)
+	}
+	return prog, spec, snap
+}
+
+const (
+	ecmpEntries = 1024
+	ecmpTable   = "GatewayIngress.ecmp_nhop_tbl"
+)
+
+// BenchmarkSessionDeltaECMP is the serve-churn workload's warm path
+// without the HTTP daemon around it: one session over the DC gateway
+// with a 1024-entry ECMP table, and every iteration applies one seeded
+// replace of an ECMP entry (same key, seeded action). Run with
+// -benchmem; allocs/op is what re-encoding only the changed part of the
+// table exists to cut.
+func BenchmarkSessionDeltaECMP(b *testing.B) {
+	prog, spec, snap := ecmpSession(b)
+	sess, err := verify.NewSession(prog, snap, spec, verify.Options{Parallel: 1})
+	if err != nil {
+		b.Fatal(err)
+	}
+	defer sess.Close()
+	if !sess.Baseline().Holds {
+		b.Fatal("baseline violates the holding spec")
+	}
+	rng := rand.New(rand.NewSource(1))
+	deltas := make([]*tables.Delta, b.N)
+	for i := range deltas {
+		idx := rng.Intn(ecmpEntries)
+		action := "a_drop"
+		if a := rng.Intn(9); a > 0 {
+			action = fmt.Sprintf("set_nhop(%d)", a)
+		}
+		if deltas[i], err = tables.ParseDelta(fmt.Sprintf("replace %s %d %d -> %s", ecmpTable, idx, idx, action)); err != nil {
+			b.Fatal(err)
+		}
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for _, d := range deltas {
+		rep, err := sess.Apply(d)
+		if err != nil {
+			b.Fatal(err)
+		}
+		if !rep.Holds {
+			b.Fatal("a delta broke the holding spec")
+		}
 	}
 }

@@ -22,6 +22,7 @@ package encode
 
 import (
 	"fmt"
+	"slices"
 
 	"aquila/internal/gcl"
 	"aquila/internal/p4"
@@ -167,11 +168,13 @@ func (e *Env) TableTerms(fq string) []*smt.Term { return e.tableTerms[fq] }
 
 // recordTableTerms notes terms introduced by the encoding of table fq.
 func (e *Env) recordTableTerms(fq string, ts ...*smt.Term) {
+	rec := slices.Grow(e.tableTerms[fq], len(ts))
 	for _, t := range ts {
 		if t != nil {
-			e.tableTerms[fq] = append(e.tableTerms[fq], t)
+			rec = append(rec, t)
 		}
 	}
+	e.tableTerms[fq] = rec
 }
 
 // NewEnv builds an encoding environment. snap may be nil (verify under any

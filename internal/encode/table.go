@@ -214,10 +214,20 @@ func (e *Env) encodeTableABV(ctl *p4.Control, tbl *p4.Table, keys []*smt.Term,
 	ents []*tables.Entry, balanced bool) (gcl.Stmt, error) {
 	c := e.Ctx
 	l := e.layoutFor(ctl, tbl)
+	fq := ctl.Name + "." + tbl.Name
+	memo := e.tableMemo(fq, keys, l)
 
 	matches := make([]*smt.Term, len(ents))
 	abvs := make([]*smt.Term, len(ents))
 	for i, ent := range ents {
+		var key []byte
+		if memo != nil {
+			key = memo.entryKey(ent)
+			if m, a, ok := memo.entry(i, key); ok {
+				matches[i], abvs[i] = m, a
+				continue
+			}
+		}
 		laid, ok := e.LAID(ctl.Name, tbl.Name, ent.Action)
 		if !ok {
 			return nil, fmt.Errorf("encode: entry action %q not in table %s.%s", ent.Action, ctl.Name, tbl.Name)
@@ -227,25 +237,34 @@ func (e *Env) encodeTableABV(ctl *p4.Control, tbl *p4.Table, keys []*smt.Term,
 		}
 		matches[i] = e.matchTerm(keys, tbl.Keys, ent)
 		abvs[i] = e.abvConst(l, false, laid, ctl.Actions[ent.Action], ent.Args)
+		memo.storeEntry(i, key, matches[i], abvs[i])
 	}
+	memo.prune(len(ents))
 	defaultABV := e.defaultABV(ctl, tbl, l)
 
 	var lookup, anyMatch *smt.Term
 	if len(ents) == 0 {
 		lookup, anyMatch = defaultABV, c.False()
 	} else if balanced {
-		lookup, anyMatch = e.abvTree(matches, abvs, 0, len(ents))
+		next := 0
+		lookup, anyMatch = e.abvTree(matches, abvs, 0, len(ents), memo, &next)
 		lookup = c.Ite(anyMatch, lookup, defaultABV)
 	} else {
 		lookup = defaultABV
 		anyMatch = c.False()
 		for i := len(ents) - 1; i >= 0; i-- {
+			link := len(ents) - 1 - i
+			in := [4]*smt.Term{matches[i], abvs[i], lookup, anyMatch}
+			if a, m, ok := memo.node(link, in); ok {
+				lookup, anyMatch = a, m
+				continue
+			}
 			lookup = c.Ite(matches[i], abvs[i], lookup)
 			anyMatch = c.Or(anyMatch, matches[i])
+			memo.storeNode(link, in, lookup, anyMatch)
 		}
 	}
 
-	fq := ctl.Name + "." + tbl.Name
 	e.recordTableTerms(fq, matches...)
 	e.recordTableTerms(fq, abvs...)
 	e.recordTableTerms(fq, defaultABV, lookup, anyMatch)
@@ -272,14 +291,24 @@ func (e *Env) encodeTableABV(ctl *p4.Control, tbl *p4.Table, keys []*smt.Term,
 //	Match_{l,r} = Match_{l,mid} ∨ Match_{mid,r}
 //
 // which keeps first-match priority while reducing lookup depth to O(log n).
-func (e *Env) abvTree(matches, abvs []*smt.Term, l, r int) (abv, match *smt.Term) {
+// Inner nodes are numbered in post-order from *next; a node the memo built
+// from the same children is not built again.
+func (e *Env) abvTree(matches, abvs []*smt.Term, l, r int, memo *tableMemo, next *int) (abv, match *smt.Term) {
 	if r-l == 1 {
 		return abvs[l], matches[l]
 	}
 	mid := (l + r) / 2
-	la, lm := e.abvTree(matches, abvs, l, mid)
-	ra, rm := e.abvTree(matches, abvs, mid, r)
-	return e.Ctx.Ite(lm, la, ra), e.Ctx.Or(lm, rm)
+	la, lm := e.abvTree(matches, abvs, l, mid, memo, next)
+	ra, rm := e.abvTree(matches, abvs, mid, r, memo, next)
+	i := *next
+	*next++
+	in := [4]*smt.Term{lm, la, rm, ra}
+	if abv, match, ok := memo.node(i, in); ok {
+		return abv, match
+	}
+	abv, match = e.Ctx.Ite(lm, la, ra), e.Ctx.Or(lm, rm)
+	memo.storeNode(i, in, abv, match)
+	return abv, match
 }
 
 func (e *Env) defaultABV(ctl *p4.Control, tbl *p4.Table, l abvLayout) *smt.Term {

@@ -374,20 +374,12 @@ func (s *session) loop() {
 	}
 }
 
-// apply runs one dequeued delta: trial-apply for snapshot-dependent
-// validation (so a rejected delta provably left the session unchanged),
-// arm the deadline, verify, journal, reply.
+// apply runs one dequeued delta: arm the deadline, verify, journal,
+// reply. A delta the session rejects (verify.DeltaError: it does not apply
+// to the current snapshot) left the session unchanged and is not
+// journaled.
 func (s *session) apply(j *applyJob) {
 	res := applyResult{}
-	trial := s.sess.Snapshot()
-	if trial == nil {
-		trial = tables.NewSnapshot()
-	}
-	if err := j.delta.Apply(trial); err != nil {
-		res.reject = err
-		j.reply <- res
-		return
-	}
 	var timer *time.Timer
 	if j.deadline > 0 {
 		// The deadline is measured from request arrival: time queued
@@ -406,6 +398,12 @@ func (s *session) apply(j *applyJob) {
 	}
 	fired := s.cancel.Load()
 	s.cancel.Store(false)
+	var rejected *verify.DeltaError
+	if errors.As(err, &rejected) {
+		res.reject = err
+		j.reply <- res
+		return
+	}
 
 	reg := s.srv.reg
 	reg.Histogram(obs.HistServeApplyWallUS).Observe(wall.Microseconds())
@@ -418,8 +416,8 @@ func (s *session) apply(j *applyJob) {
 	default:
 		res.err = err
 	}
-	// The snapshot mutated (the trial apply above rules out rejection),
-	// so the journal must record the delta regardless of the verdict.
+	// The snapshot mutated (rejections returned above), so the journal
+	// must record the delta regardless of the verdict.
 	if s.jw != nil {
 		if jerr := s.jw.append(journalRecord{Kind: recDelta, Delta: j.deltaText}); jerr != nil && res.err == nil {
 			res.err = fmt.Errorf("serve: journal append: %w", jerr)

@@ -202,10 +202,12 @@ func TestServeByteIdentityPins(t *testing.T) {
 
 // TestServeHTTPErrors is the table-driven error-path suite: every
 // rejection comes back as the right status with a JSON error body, and
-// none of them mutate the session.
+// none of them mutate the session or append a journal record; the next
+// valid delta still reports what a fresh run on the snapshot reports.
 func TestServeHTTPErrors(t *testing.T) {
 	prog, spec := dcProblem(t)
-	srv := newTestServer(t, Config{Prog: prog, Spec: spec, MaxBody: 512})
+	dir := t.TempDir()
+	srv := newTestServer(t, Config{Prog: prog, Spec: spec, MaxBody: 512, JournalDir: dir})
 	createSession(t, srv, "s1", dcSnapshot)
 
 	valid := "replace GatewayIngress.ecmp_nhop_tbl 0 0 -> a_drop"
@@ -222,6 +224,7 @@ func TestServeHTTPErrors(t *testing.T) {
 		{"unknown session id", "POST", "/sessions/nope/deltas", valid, http.StatusNotFound, `no session "nope"`},
 		{"nonexistent table", "POST", "/sessions/s1/deltas", "add GatewayIngress.no_such_tbl 1 -> a_drop", http.StatusBadRequest, `unknown table "GatewayIngress.no_such_tbl"`},
 		{"index out of range", "POST", "/sessions/s1/deltas", "remove GatewayIngress.ecmp_nhop_tbl 99", http.StatusBadRequest, "remove"},
+		{"unknown action", "POST", "/sessions/s1/deltas", "add GatewayIngress.ecmp_nhop_tbl 9 -> no_such_action", http.StatusBadRequest, "no_such_action"},
 		{"oversized body", "POST", "/sessions/s1/deltas", strings.Repeat("# pad\n", 200), http.StatusRequestEntityTooLarge, "exceeds 512 bytes"},
 		{"double create", "POST", "/sessions", `{"id":"s1"}`, http.StatusConflict, "already exists"},
 		{"bad session id", "POST", "/sessions", `{"id":"../escape"}`, http.StatusBadRequest, "session id"},
@@ -258,6 +261,23 @@ func TestServeHTTPErrors(t *testing.T) {
 	}
 	if info.Deltas != 0 {
 		t.Fatalf("rejected requests mutated the session: %d deltas recorded", info.Deltas)
+	}
+	recs, _, _, err := replayJournal(srv.journalPath("s1"))
+	if err != nil {
+		t.Fatalf("journal: %v", err)
+	}
+	if len(recs) != 1 || recs[0].Kind != recCreate {
+		t.Fatalf("journal holds %d records after only rejections, want the create record alone", len(recs))
+	}
+
+	rr = applyDelta(t, srv, "s1", valid)
+	exp := mustSnapshot(t, dcSnapshot)
+	applyText(t, exp, valid)
+	if want := freshCanonical(t, prog, spec, exp); !bytes.Equal(rr.Body.Bytes(), want) {
+		t.Fatalf("delta after rejections: http report differs from fresh run:\nhttp:\n%s\nfresh:\n%s", rr.Body.Bytes(), want)
+	}
+	if recs, _, _, err = replayJournal(srv.journalPath("s1")); err != nil || len(recs) != 2 || recs[1].Delta != valid+"\n" {
+		t.Fatalf("journal after one valid delta: %d records (err %v), want create + %q", len(recs), err, valid)
 	}
 }
 

@@ -1,7 +1,10 @@
 package smt
 
 import (
+	"fmt"
 	"math/big"
+	"slices"
+	"sort"
 	"sync"
 	"testing"
 )
@@ -84,6 +87,97 @@ func TestFrozenCtxConcurrentUse(t *testing.T) {
 			// Stray interning after Freeze must serialize, not race.
 			_ = c.BVAdd(x, c.BV(uint64(g), 16))
 		}(g)
+	}
+	wg.Wait()
+}
+
+// varsByMap is the map-visited walk Vars used before its stamped walk:
+// the reference its output must equal, order included.
+func varsByMap(t *Term) []*Term {
+	seen := map[int]bool{t.ID: true}
+	var out []*Term
+	stack := []*Term{t}
+	for len(stack) > 0 {
+		x := stack[len(stack)-1]
+		stack = stack[:len(stack)-1]
+		if x.Op == OpBVVar || x.Op == OpBoolVar {
+			out = append(out, x)
+			continue
+		}
+		for _, a := range x.Args {
+			if !seen[a.ID] {
+				seen[a.ID] = true
+				stack = append(stack, a)
+			}
+		}
+	}
+	sort.Slice(out, func(i, j int) bool { return out[i].Name < out[j].Name })
+	return out
+}
+
+// varsTerms builds terms sharing subterms in a DAG, over variables
+// created between them so term IDs interleave.
+func varsTerms(c *Ctx) []*Term {
+	var ts []*Term
+	acc := c.Var("v0", 8)
+	for i := 1; i < 40; i++ {
+		v := c.Var(fmt.Sprintf("v%d", i), 8)
+		acc = c.BVAdd(acc, c.BVXor(v, c.BV(uint64(i), 8)))
+		b := c.BoolVar(fmt.Sprintf("b%d", i%7))
+		ts = append(ts, c.Or(b, c.Eq(acc, v)), acc, v)
+	}
+	ts = append(ts, c.True(), c.And(ts[0], ts[len(ts)-3]))
+	return ts
+}
+
+// TestVarsStampedWalk pins Vars' output to the map-visited walk it
+// replaced (same variables, same order) across many calls on one pooled
+// walker, across an epoch wrap, and on a frozen context shared by
+// concurrent callers (run under -race).
+func TestVarsStampedWalk(t *testing.T) {
+	c := NewCtx()
+	ts := varsTerms(c)
+	check := func(step string) {
+		t.Helper()
+		for i, x := range ts {
+			if got, want := Vars(x), varsByMap(x); !slices.Equal(got, want) {
+				t.Fatalf("%s: term %d: Vars = %v, want %v", step, i, got, want)
+			}
+		}
+	}
+	check("fresh")
+	check("repeated")
+
+	// Across an epoch wrap a stale stamp must not read as visited: the
+	// first walk stamps epoch 1, and the wrapped one restarts at 1.
+	w := new(termWalk)
+	w.begin()
+	for _, x := range ts {
+		w.visit(x)
+	}
+	w.epoch = ^uint32(0)
+	w.begin()
+	for i, x := range ts {
+		if !w.visit(x) {
+			t.Fatalf("epoch wrap: term %d reads as visited in a new walk", i)
+		}
+	}
+
+	c.Freeze()
+	var wg sync.WaitGroup
+	for g := 0; g < 4; g++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for range 20 {
+				for i, x := range ts {
+					if got, want := Vars(x), varsByMap(x); !slices.Equal(got, want) {
+						t.Errorf("concurrent: term %d: Vars = %v, want %v", i, got, want)
+						return
+					}
+				}
+			}
+		}()
 	}
 	wg.Wait()
 }

@@ -12,6 +12,7 @@ package smt
 import (
 	"fmt"
 	"math/big"
+	"slices"
 	"sort"
 	"strings"
 	"sync"
@@ -1019,13 +1020,50 @@ func (c *Ctx) Ugt(a, b *Term) *Term { return c.Ult(b, a) }
 // Uge returns a >= b (unsigned).
 func (c *Ctx) Uge(a, b *Term) *Term { return c.Ule(b, a) }
 
+// termWalk is a DAG walk's scratch: a visited set stamped by term ID
+// (ID i is visited when stamp[i] == epoch, so starting a walk clears
+// nothing) and the walk's stack. Walks take one from termWalks each, so
+// concurrent walks over a frozen Ctx never share one.
+type termWalk struct {
+	stamp []uint32
+	epoch uint32
+	stack []*Term
+}
+
+var termWalks = sync.Pool{New: func() any { return new(termWalk) }}
+
+// begin starts a new walk: every term unvisited.
+func (w *termWalk) begin() {
+	w.epoch++
+	if w.epoch == 0 { // wrapped: stale stamps could read as visited
+		clear(w.stamp)
+		w.epoch = 1
+	}
+}
+
+// visit marks term t visited and reports whether it was not already.
+func (w *termWalk) visit(t *Term) bool {
+	if t.ID >= len(w.stamp) {
+		w.stamp = slices.Grow(w.stamp, t.ID+1-len(w.stamp))
+		w.stamp = w.stamp[:cap(w.stamp)]
+	}
+	if w.stamp[t.ID] == w.epoch {
+		return false
+	}
+	w.stamp[t.ID] = w.epoch
+	return true
+}
+
 // Vars returns the free variables of t, sorted by name.
 func Vars(t *Term) []*Term {
 	// Iterative walk: counterexample rendering calls this on full VC terms,
 	// which can be too deep for recursion on large parser state spaces.
-	seen := map[int]bool{t.ID: true}
+	w := termWalks.Get().(*termWalk)
+	defer termWalks.Put(w)
+	w.begin()
+	w.visit(t)
 	var out []*Term
-	stack := []*Term{t}
+	stack, high := append(w.stack[:0], t), 1
 	for len(stack) > 0 {
 		x := stack[len(stack)-1]
 		stack = stack[:len(stack)-1]
@@ -1034,12 +1072,14 @@ func Vars(t *Term) []*Term {
 			continue
 		}
 		for _, a := range x.Args {
-			if !seen[a.ID] {
-				seen[a.ID] = true
+			if w.visit(a) {
 				stack = append(stack, a)
 			}
 		}
+		high = max(high, len(stack))
 	}
+	clear(stack[:high]) // the pooled stack must not keep terms alive
+	w.stack = stack
 	sort.Slice(out, func(i, j int) bool { return out[i].Name < out[j].Name })
 	return out
 }

@@ -2,6 +2,8 @@ package tables
 
 import (
 	"fmt"
+	"maps"
+	"slices"
 	"sort"
 	"strconv"
 	"strings"
@@ -143,6 +145,28 @@ func (d *Delta) Apply(snap *Snapshot) error {
 		}
 	}
 	return nil
+}
+
+// ApplyCopy returns the snapshot the delta makes of s, leaving s
+// unchanged; s may be nil. The result is copy-on-write: it shares with s
+// the entry slices of every table the delta does not touch, and for a
+// touched table copies only the slice of entry pointers, so the entries
+// s already had are shared and only added or replacement entries are
+// new. Neither snapshot may mutate a shared entry in place afterwards.
+func (d *Delta) ApplyCopy(s *Snapshot) (*Snapshot, error) {
+	next := NewSnapshot()
+	if s != nil {
+		maps.Copy(next.entries, s.entries)
+	}
+	for _, t := range d.Tables() {
+		if es, ok := next.entries[t]; ok {
+			next.entries[t] = slices.Clone(es)
+		}
+	}
+	if err := d.Apply(next); err != nil {
+		return nil, err
+	}
+	return next, nil
 }
 
 func applyOp(snap *Snapshot, op DeltaOp) error {

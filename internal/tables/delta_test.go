@@ -286,3 +286,61 @@ func TestEqualOrderSensitivity(t *testing.T) {
 		t.Fatal("Equal depended on absolute priorities")
 	}
 }
+
+// TestApplyCopyLeavesSource: ApplyCopy returns the changed snapshot and
+// leaves its source as it was, entries included, while sharing what the
+// delta does not change: the entry slices of untouched tables and the
+// entries a touched table keeps.
+func TestApplyCopyLeavesSource(t *testing.T) {
+	src, err := ParseSnapshot("table T {\n 1 -> a(1)\n 2 -> b\n 3 -> c\n}\ntable U {\n 7 -> u\n}")
+	if err != nil {
+		t.Fatal(err)
+	}
+	before := Format(src)
+	kept := src.Entries("T")
+	d := &Delta{Ops: []DeltaOp{
+		{Kind: OpReplace, Table: "T", Index: 0, Entry: &Entry{Keys: []KeyMatch{Exact(1)}, Action: "d"}},
+		{Kind: OpRemove, Table: "T", Index: 1},
+		{Kind: OpAdd, Table: "T", Entry: &Entry{Keys: []KeyMatch{Exact(9)}, Action: "e"}},
+	}}
+	next, err := d.ApplyCopy(src)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := Format(src); got != before {
+		t.Fatalf("source changed:\n%s\nwant:\n%s", got, before)
+	}
+	for i, e := range src.Entries("T") {
+		if e != kept[i] {
+			t.Fatalf("source entry %d replaced", i)
+		}
+	}
+	want, err := ParseSnapshot("table T {\n 1 -> d\n 3 -> c\n 9 -> e\n}\ntable U {\n 7 -> u\n}")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !Equal(next, want) {
+		t.Fatalf("after delta:\n%s\nwant:\n%s", Format(next), Format(want))
+	}
+	if next.Entries("T")[1] != kept[2] {
+		t.Fatal("an entry the delta kept was copied")
+	}
+	if &next.entries["U"][0] != &src.entries["U"][0] {
+		t.Fatal("an untouched table's entry slice was copied")
+	}
+
+	// A rejected delta returns no snapshot and leaves the source alone.
+	bad := &Delta{Ops: []DeltaOp{{Kind: OpRemove, Table: "T", Index: 0}, {Kind: OpRemove, Table: "T", Index: 5}}}
+	if got, err := bad.ApplyCopy(src); err == nil || got != nil {
+		t.Fatalf("out-of-range delta: snapshot %v, error %v", got, err)
+	}
+	if got := Format(src); got != before {
+		t.Fatalf("source changed by a rejected delta:\n%s\nwant:\n%s", got, before)
+	}
+
+	// From no snapshot, a delta of adds builds one.
+	add := &Delta{Ops: []DeltaOp{{Kind: OpAdd, Table: "T", Entry: &Entry{Keys: []KeyMatch{Exact(4)}, Action: "a"}}}}
+	if got, err := add.ApplyCopy(nil); err != nil || len(got.Entries("T")) != 1 {
+		t.Fatalf("ApplyCopy(nil): %v, %v", got, err)
+	}
+}

@@ -175,26 +175,50 @@ func (s *Session) SessionStats() SessionStats { return s.stats }
 // through the memoized slicer, pointer-unchanged verdicts are replayed,
 // and the rest are re-solved on the warm shared solver. The returned
 // report's CanonicalJSON is byte-identical to a fresh verify.Run on the
-// mutated snapshot (Unknown verdicts excepted, as documented). A failed
-// delta (bad table, bad index) leaves the session unchanged.
+// mutated snapshot (Unknown verdicts excepted, as documented). A delta
+// that does not apply (bad index, missing entry) or installs an entry
+// the program cannot encode returns a *DeltaError and leaves the session
+// unchanged.
 func (s *Session) Apply(delta *tables.Delta) (*Report, error) {
 	if delta == nil {
-		return nil, fmt.Errorf("verify: Apply(nil delta)")
+		return nil, &DeltaError{Err: fmt.Errorf("verify: Apply(nil delta)")}
 	}
-	next := s.snap.Clone()
-	if next == nil {
-		next = tables.NewSnapshot()
+	// Copy-on-write: the next snapshot shares every entry the delta does
+	// not replace, so reports of earlier runs keep the snapshot they saw.
+	next, err := delta.ApplyCopy(s.snap)
+	if err != nil {
+		return nil, &DeltaError{Err: err}
 	}
-	if err := delta.Apply(next); err != nil {
-		return nil, err
-	}
+	prev := s.snap
 	s.snap = next
 	for _, fq := range delta.Tables() {
 		s.reuse.Forget(fq)
 	}
+	rep, err := s.run(delta)
+	if rep == nil && err != nil {
+		// Only encoding fails before there is a report: the delta
+		// installs an entry the program cannot encode (an action its
+		// table lacks). Nothing was verified, so the session keeps its
+		// snapshot, and drops the parts encoded from the rejected one.
+		s.snap = prev
+		for _, fq := range delta.Tables() {
+			s.reuse.Forget(fq)
+		}
+		return nil, &DeltaError{Err: err}
+	}
 	s.stats.Deltas++
-	return s.run(delta)
+	return rep, err
 }
+
+// DeltaError is Apply's rejection of a delta that does not apply to the
+// session's snapshot (an index out of range, an operation without an
+// entry) or that installs an entry the program cannot encode. The
+// session keeps its snapshot, and nothing was verified.
+type DeltaError struct{ Err error }
+
+func (e *DeltaError) Error() string { return e.Err.Error() }
+
+func (e *DeltaError) Unwrap() error { return e.Err }
 
 // Affected returns the labels of assertions whose last cone-of-influence
 // slice mentions a table the delta touches, sorted. The index is

@@ -2,12 +2,14 @@ package verify
 
 import (
 	"bytes"
+	"errors"
 	"fmt"
 	"sort"
 	"strings"
 	"testing"
 	"time"
 
+	"aquila/internal/gcl"
 	"aquila/internal/lpi"
 	"aquila/internal/p4"
 	"aquila/internal/progs"
@@ -219,26 +221,87 @@ func TestSessionBadDeltaLeavesSessionUsable(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := sess.Apply(bad); err == nil {
-		t.Fatal("out-of-range remove did not error")
+	_, err = sess.Apply(bad)
+	if rejected := (*DeltaError)(nil); !errors.As(err, &rejected) {
+		t.Fatalf("out-of-range remove: error %v, want a *DeltaError", err)
 	}
 	if !tables.Equal(snap, sess.Snapshot()) {
 		t.Fatal("failed delta mutated the session snapshot")
 	}
-	good, err := tables.ParseDelta("add GatewayIngress.ecmp_nhop_tbl 6 -> set_nhop(2)")
+	// An entry whose action the table lacks applies to the snapshot but
+	// cannot be encoded; the valid entry the same delta adds to another
+	// table must not survive in the stored encodings either.
+	unencodable, err := tables.ParseDelta("add GatewayIngress.ecmp_nhop_tbl 9 -> set_nhop(4)\nadd GatewayIngress.ttl_tbl 0 -> no_such_action")
 	if err != nil {
 		t.Fatal(err)
 	}
-	rep, err := sess.Apply(good)
-	if err != nil {
-		t.Fatalf("apply after failed delta: %v", err)
+	_, err = sess.Apply(unencodable)
+	if rejected := (*DeltaError)(nil); !errors.As(err, &rejected) || !strings.Contains(err.Error(), "no_such_action") {
+		t.Fatalf("unknown action: error %v, want a *DeltaError naming it", err)
 	}
-	fresh, err := Run(prog, sess.Snapshot(), spec, Options{FindAll: true, Parallel: 1})
-	if err != nil {
-		t.Fatalf("fresh: %v", err)
+	if !tables.Equal(snap, sess.Snapshot()) || sess.SessionStats().Deltas != 0 {
+		t.Fatal("unencodable delta changed the session")
 	}
-	if !bytes.Equal(canonicalOf(t, rep), canonicalOf(t, fresh)) {
-		t.Fatal("session report differs from fresh run after a failed delta")
+	// The first good delta leaves the ECMP table alone, so only a
+	// dropped stored encoding keeps the rejected ECMP entry out.
+	for _, text := range []string{"add GatewayIngress.ttl_tbl 0 -> a_drop", "add GatewayIngress.ecmp_nhop_tbl 6 -> set_nhop(2)"} {
+		good, err := tables.ParseDelta(text)
+		if err != nil {
+			t.Fatal(err)
+		}
+		rep, err := sess.Apply(good)
+		if err != nil {
+			t.Fatalf("%s: apply after failed deltas: %v", text, err)
+		}
+		fresh, err := Run(prog, sess.Snapshot(), spec, Options{FindAll: true, Parallel: 1})
+		if err != nil {
+			t.Fatalf("fresh: %v", err)
+		}
+		if !bytes.Equal(canonicalOf(t, rep), canonicalOf(t, fresh)) {
+			t.Fatalf("%s: session report differs from fresh run after failed deltas", text)
+		}
+		if gcl.Pretty(rep.Program) != gcl.Pretty(fresh.Program) {
+			t.Fatalf("%s: session encoding differs from a fresh run's after failed deltas", text)
+		}
+	}
+}
+
+// TestSessionDeltaCopyOnWrite: applying a delta never changes the
+// snapshot an earlier run verified (each report's Env.Snap), and the
+// snapshot Session.Snapshot hands out is the caller's own to change.
+func TestSessionDeltaCopyOnWrite(t *testing.T) {
+	prog, spec, snap := churnProblem(t)
+	sess, err := NewSession(prog, snap, spec, Options{Parallel: 1})
+	if err != nil {
+		t.Fatalf("NewSession: %v", err)
+	}
+	deltas, err := tables.ParseDeltas(churnDeltas)
+	if err != nil {
+		t.Fatalf("deltas: %v", err)
+	}
+	reps := []*Report{sess.Baseline()}
+	texts := []string{tables.Format(sess.Baseline().Env.Snap)}
+	for i, d := range deltas {
+		rep, err := sess.Apply(d)
+		if err != nil {
+			t.Fatalf("delta %d: Apply: %v", i, err)
+		}
+		reps, texts = append(reps, rep), append(texts, tables.Format(rep.Env.Snap))
+		for j, r := range reps {
+			if got := tables.Format(r.Env.Snap); got != texts[j] {
+				t.Fatalf("delta %d changed the snapshot run %d verified:\n%s\nwas:\n%s", i, j, got, texts[j])
+			}
+		}
+	}
+	last := len(reps) - 1
+	cp := sess.Snapshot()
+	for _, fq := range cp.Tables() {
+		for _, e := range cp.Entries(fq) {
+			e.Action, e.Keys[0].Value = "changed", 99
+		}
+	}
+	if got := tables.Format(reps[last].Env.Snap); got != texts[last] {
+		t.Fatalf("changing Session.Snapshot's entries changed the session's:\n%s\nwas:\n%s", got, texts[last])
 	}
 }
 
