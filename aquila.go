@@ -99,17 +99,6 @@ type Options struct {
 	// localization re-checks: 0 uses runtime.GOMAXPROCS(0), 1 forces the
 	// serial path. Reports are byte-identical at every setting.
 	Parallel int
-	// Incremental enables shared-prefix solving for find-all verification
-	// and localization: each worker shard blasts the common VC prefix once
-	// and checks its assertions via activation literals, reusing the CNF
-	// and learned clauses. Verdicts and reports stay byte-identical to the
-	// default fresh-solver mode.
-	Incremental bool
-	// Simplify runs the algebraic simplification pass over the shared
-	// term DAG before blasting. Verification and localization consult it
-	// only in Incremental mode; SelfValidate applies it directly to its
-	// refinement queries.
-	Simplify bool
 	// Preprocess enables SatELite-style CNF preprocessing (subsumption,
 	// self-subsuming resolution, bounded variable elimination) in the SAT
 	// cores of verification, localization filtering, and self-validation.
@@ -132,8 +121,7 @@ type Options struct {
 
 func (o Options) verifyOptions() verify.Options {
 	return verify.Options{Encode: o.Encode, FindAll: o.FindAll, Budget: o.Budget,
-		Parallel: o.Parallel, Incremental: o.Incremental, Simplify: o.Simplify,
-		Preprocess: o.Preprocess, Slice: o.Slice, Stream: o.Stream}
+		Parallel: o.Parallel, Preprocess: o.Preprocess, Slice: o.Slice, Stream: o.Stream}
 }
 
 // ParseProgram parses and type-checks P4lite source.
@@ -229,7 +217,7 @@ func Localize(prog *Program, snap *Snapshot, spec *Spec, opts Options) (*Localiz
 // reference semantics for the named components (§6 of the paper).
 func SelfValidate(prog *Program, snap *Snapshot, components []string, opts Options) (*ValidationResult, error) {
 	return validate.ValidateWith(prog, snap, components, opts.Encode,
-		validate.Config{Simplify: opts.Simplify, Preprocess: opts.Preprocess})
+		validate.Config{Preprocess: opts.Preprocess})
 }
 
 // SpecLoC counts the effective specification lines of LPI source — the

@@ -11,7 +11,6 @@
 //	aquila-bench -exp fig11a [-k 5] [-scale medium]
 //	aquila-bench -exp fig11b [-entries 1000,2000,3000,4000,5000]
 //	aquila-bench -exp parallel [-parallel 1,2,4,8] [-repeats 3] [-out BENCH_parallel.json]
-//	aquila-bench -exp incremental [-parallel 1,2,4] [-repeats 3] [-incr-out BENCH_incremental.json]
 //	aquila-bench -exp preproc [-parallel 1,2,4] [-repeats 3] [-preproc-out BENCH_preproc.json]
 //	                          [-compare BENCH_preproc.json]
 //	aquila-bench -exp scale [-quick] [-scale-out BENCH_scale.json]
@@ -65,9 +64,8 @@ func mainRun() int {
 		scale      = flag.String("scale", "medium", "fig11a/fig11b switch-T scale")
 		entries    = flag.String("entries", "1000,2000,3000,4000,5000", "fig11b entry counts")
 		parallel   = flag.String("parallel", "1,2,4,8", "parallel-sweep worker counts (first must be 1, the speedup baseline)")
-		repeats    = flag.Int("repeats", 3, "parallel/incremental/preproc runs per configuration (best wall time kept)")
+		repeats    = flag.Int("repeats", 3, "parallel/preproc runs per configuration (best wall time kept)")
 		outPath    = flag.String("out", "", "parallel-sweep JSON output file (empty: stdout table only)")
-		incrOut    = flag.String("incr-out", "", "incremental-sweep JSON output file (empty: stdout table only)")
 		prepOut    = flag.String("preproc-out", "", "preproc-sweep JSON output file (empty: stdout table only)")
 		compare    = flag.String("compare", "", "preproc only: reference BENCH_preproc.json; exit non-zero if relative wall time regresses >20%")
 		scaleOut   = flag.String("scale-out", "", "scale-campaign JSON output file (empty: stdout table only)")
@@ -177,26 +175,11 @@ func mainRun() int {
 			fmt.Print(bench.FormatParallelSuite(res))
 			return writeJSON(*outPath, res)
 		}},
-		{"incremental", func() error {
-			// Fresh vs shared-prefix incremental solving on the DC gateway.
-			// The worker counts reuse -parallel, capped at 4: the point of
-			// the sweep is clause reuse, not scheduler saturation.
-			counts, err := parseInts(*parallel, 4)
-			if err != nil {
-				return err
-			}
-			res, err := bench.Incremental(progs.DCGatewayBench(), counts, quickRepeats(*repeats, *quick))
-			if err != nil {
-				return err
-			}
-			fmt.Print(bench.FormatIncremental(res))
-			return writeJSON(*incrOut, res)
-		}},
 		{"preproc", func() error {
 			// The four {preprocess, slice} configurations on the DC
-			// gateway, fresh and incremental, against the baseline engine.
-			// Worker counts reuse -parallel, capped at 4, like the
-			// incremental sweep.
+			// gateway against the baseline engine. Worker counts reuse
+			// -parallel, capped at 4: the point of the sweep is CNF
+			// reduction, not scheduler saturation.
 			counts, err := parseInts(*parallel, 4)
 			if err != nil {
 				return err

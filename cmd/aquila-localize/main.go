@@ -6,15 +6,11 @@
 // Usage:
 //
 //	aquila-localize -spec spec.lpi [-p4 prog.p4] [-entries snap.txt]
-//	                [-budget N] [-parallel N] [-incremental]
-//	                [-simplify=false] [-preprocess] [-slice]
+//	                [-budget N] [-parallel N] [-preprocess] [-slice]
 //	                [-trace out.json] [-pprof cpu.out] [-memprofile mem.out] [-v]
 //
-// -incremental makes the find-violations pass and the causality filter
-// share one blasted solver per worker shard (activation literals over the
-// common prefix) instead of a fresh solver per query; -simplify (default
-// true) adds the algebraic pre-blast pass. -preprocess enables CNF
-// preprocessing in every verdict-only solver (the model-extracting MaxSAT
+// The find-violations pass and the causality filter give every query its
+// own fresh solver. -preprocess enables CNF preprocessing in every verdict-only solver (the model-extracting MaxSAT
 // repair solver stays plain); -slice applies cone-of-influence slicing in
 // the find-violations pass. Results are identical under every
 // combination of these flags.
@@ -44,8 +40,6 @@ func run() int {
 		entries    = flag.String("entries", "", "table-entry snapshot file")
 		budget     = flag.Int64("budget", 0, "SAT conflict budget per query (0: unlimited)")
 		parallel   = flag.Int("parallel", 0, fmt.Sprintf("worker goroutines for localization re-checks (0: GOMAXPROCS, currently %d; 1: serial)", runtime.GOMAXPROCS(0)))
-		incr       = flag.Bool("incremental", false, "shared-prefix incremental solving for verification and the causality filter")
-		simplify   = flag.Bool("simplify", true, "algebraic simplification pass before blasting (incremental mode only)")
 		preproc    = flag.Bool("preprocess", false, "SatELite-style CNF preprocessing in verdict-only solvers")
 		slice      = flag.Bool("slice", false, "per-assertion cone-of-influence slicing in the find-violations pass")
 		tracePath  = flag.String("trace", "", "write Chrome trace-event JSON of the localization phases")
@@ -62,7 +56,6 @@ func run() int {
 	}
 	opts := aquila.Options{
 		Budget: *budget, Parallel: *parallel,
-		Incremental: *incr, Simplify: *simplify,
 		Preprocess: *preproc, Slice: *slice,
 	}
 

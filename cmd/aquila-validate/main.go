@@ -7,12 +7,12 @@
 // Usage:
 //
 //	aquila-validate -p4 prog.p4 [-entries snap.txt] [-components a,b,...]
-//	                [-bug empty-state-accept|ignore-defaultonly] [-simplify] [-preprocess]
+//	                [-bug empty-state-accept|ignore-defaultonly] [-preprocess]
 //	                [-trace out.json] [-pprof cpu.out] [-memprofile mem.out] [-v]
 //
-// -simplify routes every refinement query through the algebraic
-// simplification pass before solving, so a simplifier bug that changes a
-// verdict shows up as a refinement mismatch here.
+// -preprocess runs every refinement query through CNF preprocessing, so a
+// preprocessing bug that changes a verdict shows up as a refinement
+// mismatch here.
 package main
 
 import (
@@ -35,7 +35,6 @@ func run() int {
 		entries    = flag.String("entries", "", "table-entry snapshot file")
 		components = flag.String("components", "", "comma-separated components (default: every pipeline)")
 		bug        = flag.String("bug", "", "inject a historical encoder bug (empty-state-accept, ignore-defaultonly)")
-		simplify   = flag.Bool("simplify", false, "pass refinement queries through the algebraic simplification pass")
 		preproc    = flag.Bool("preprocess", false, "SatELite-style CNF preprocessing in the refinement solver")
 		tracePath  = flag.String("trace", "", "write Chrome trace-event JSON of the validation phases")
 		cpuProf    = flag.String("pprof", "", "write CPU profile (go tool pprof)")
@@ -59,14 +58,14 @@ func run() int {
 		return fail(err)
 	}
 	obs.SetDefault(o)
-	code := validateMain(*p4Path, *entries, *components, *bug, *simplify, *preproc)
+	code := validateMain(*p4Path, *entries, *components, *bug, *preproc)
 	if err := closeObs(); err != nil {
 		return fail(err)
 	}
 	return code
 }
 
-func validateMain(p4Path, entries, components, bug string, simplify, preprocess bool) int {
+func validateMain(p4Path, entries, components, bug string, preprocess bool) int {
 	prog, err := aquila.LoadProgram(p4Path)
 	if err != nil {
 		return fail(err)
@@ -92,7 +91,6 @@ func validateMain(p4Path, entries, components, bug string, simplify, preprocess 
 	}
 	result, err := aquila.SelfValidate(prog, snap, comps, aquila.Options{
 		Encode:     encode.Options{InjectEncoderBug: bug},
-		Simplify:   simplify,
 		Preprocess: preprocess,
 	})
 	if err != nil {

@@ -7,7 +7,7 @@
 //	aquila -spec spec.lpi [-p4 prog.p4] [-entries snap.txt] [-all]
 //	       [-parser sequential|tree] [-table abvtree|abvlinear|naive]
 //	       [-packet kv|bitvector] [-budget N] [-parallel N]
-//	       [-incremental] [-simplify=false] [-preprocess] [-slice] [-stream]
+//	       [-preprocess] [-slice] [-stream]
 //	       [-trace out.json] [-pprof cpu.out] [-memprofile mem.out] [-v]
 //	       [-progress] [-metrics out.om] [-watchdog 30s]
 //	       [-churn deltas.txt]
@@ -19,20 +19,15 @@
 // report is byte-identical to a fresh verification of the mutated
 // snapshot.
 //
-// Find-all checks (-all) run one engine loop with two solver policies: a
-// deterministic fresh solver per assertion (the default), or
-// -incremental, which shares one solver per worker shard (blast the
-// common VC prefix once, check each assertion under an activation
-// literal); -incremental implies -all. -simplify (default true) controls
-// the algebraic pre-blast simplification pass in that mode. -preprocess
-// enables SatELite-style CNF preprocessing in the SAT core; -slice drops
-// VC conjuncts outside each assertion's cone of influence before blasting
-// (find-all modes). -stream is a memory policy of the serial loop: it
-// releases each assertion's transient terms after its check (implies
-// -all). Reports are byte-identical to the default fresh-solver mode
-// under every combination of these flags; incompatible combinations
-// (e.g. -stream with -parallel 2) are rejected up front with an error
-// naming the conflict.
+// Find-all checks (-all) run one engine loop: a deterministic fresh
+// solver per assertion. -preprocess enables SatELite-style CNF
+// preprocessing in the SAT core; -slice drops VC conjuncts outside each
+// assertion's cone of influence before blasting (find-all modes).
+// -stream is a memory policy of the serial loop: it releases each
+// assertion's transient terms after its check (implies -all). Reports are
+// byte-identical to the default under every combination of these flags;
+// incompatible combinations (e.g. -stream with -parallel 2) are rejected
+// up front with an error naming the conflict.
 //
 // The P4 program may also be named by the spec's config section
 // (`config { path = prog.p4; }`), or selected from the built-in corpus
@@ -74,8 +69,6 @@ func run() int {
 		packetStr  = flag.String("packet", "kv", "packet encoding: kv|bitvector")
 		budget     = flag.Int64("budget", 0, "SAT conflict budget per query (0: unlimited)")
 		parallel   = flag.Int("parallel", 0, fmt.Sprintf("worker goroutines for -all checks (0: GOMAXPROCS, currently %d; 1: serial)", runtime.GOMAXPROCS(0)))
-		incr       = flag.Bool("incremental", false, "shared-prefix incremental solving for -all (implies -all)")
-		simplify   = flag.Bool("simplify", true, "algebraic simplification pass before blasting (incremental mode only)")
 		preproc    = flag.Bool("preprocess", false, "SatELite-style CNF preprocessing in the SAT core")
 		slice      = flag.Bool("slice", false, "per-assertion cone-of-influence slicing of the VC (find-all modes)")
 		stream     = flag.Bool("stream", false, "streaming VC generation for -all: release per-assertion transient terms, bounding peak memory (implies -all, forces serial)")
@@ -97,15 +90,13 @@ func run() int {
 		return 2
 	}
 	opts := aquila.Options{
-		FindAll:     *findAll || *incr || *stream,
-		Budget:      *budget,
-		Parallel:    *parallel,
-		Incremental: *incr,
-		Simplify:    *simplify,
-		Preprocess:  *preproc,
-		Slice:       *slice,
-		Stream:      *stream,
-		Encode:      encodeOptions(*parserStr, *tableStr, *packetStr),
+		FindAll:    *findAll || *stream,
+		Budget:     *budget,
+		Parallel:   *parallel,
+		Preprocess: *preproc,
+		Slice:      *slice,
+		Stream:     *stream,
+		Encode:     encodeOptions(*parserStr, *tableStr, *packetStr),
 	}
 
 	o, closeObs, err := obs.Setup(obs.Config{

@@ -30,7 +30,7 @@ var preprocConfigs = []struct {
 // given combination of CNF preprocessing and COI slicing.
 type PreprocRow struct {
 	Config  string `json:"config"` // baseline|preprocess|slice|both
-	Mode    string `json:"mode"`   // "fresh" or "incremental"
+	Mode    string `json:"mode"`   // "fresh", the one find-all solver policy
 	Workers int    `json:"workers"`
 	// WallMS / SolveCPUMS come from the best-of-repeats run.
 	WallMS     float64 `json:"wall_ms"`
@@ -63,19 +63,17 @@ type PreprocResult struct {
 	CPUs       int    `json:"cpus"`
 	Repeats    int    `json:"repeats"`
 	// ClauseReduction and PropagationReduction compare the "both" config
-	// against "baseline" at incremental mode, workers=1 — the shipping
-	// configuration — giving the headline "shrink every formula before it
-	// hits the SAT core" savings. Fresh mode is not the headline because
-	// every violated assertion there pays a full plain re-solve to keep
-	// reports byte-identical, which on bug-dense programs (DC Gateway
-	// violates most of its assertions) can outweigh the shrink.
+	// against "baseline" at workers=1, giving the headline "shrink every
+	// formula before it hits the SAT core" savings. Both totals include
+	// the plain re-solve every violated assertion pays to keep reports
+	// byte-identical.
 	ClauseReduction      float64      `json:"clause_reduction"`
 	PropagationReduction float64      `json:"propagation_reduction"`
 	Rows                 []PreprocRow `json:"rows"`
 }
 
 // Preproc sweeps find-all verification of bm over the four preprocessing
-// configurations × {fresh, incremental} × workerCounts (each run repeated
+// configurations × workerCounts (each run repeated
 // `repeats` times, best wall time kept). Every row must reproduce the
 // baseline fresh workers=1 canonical report byte for byte. The first
 // entry of workerCounts must be 1 (the identity and RelWall baseline).
@@ -103,63 +101,56 @@ func Preproc(bm *progs.Benchmark, workerCounts []int, repeats int) (*PreprocResu
 	var baseWall time.Duration
 	var baseClauses, baseProps, bothClauses, bothProps int64
 	for _, cfg := range preprocConfigs {
-		for _, incremental := range []bool{false, true} {
-			for _, w := range workerCounts {
-				var best time.Duration
-				var bestRep *verify.Report
-				for r := 0; r < repeats; r++ {
-					opts := verify.Options{FindAll: true, Parallel: w,
-						Incremental: incremental, Simplify: incremental,
-						Preprocess: cfg.Preprocess, Slice: cfg.Slice}
-					start := time.Now()
-					rep, err := verify.Run(prog, nil, spec, opts)
-					wall := time.Since(start)
-					if err != nil {
-						return nil, fmt.Errorf("bench: preproc config=%s incremental=%v workers=%d: %w",
-							cfg.Name, incremental, w, err)
-					}
-					if bestRep == nil || wall < best {
-						best, bestRep = wall, rep
-					}
-				}
-				canon, err := bestRep.CanonicalJSON()
+		for _, w := range workerCounts {
+			var best time.Duration
+			var bestRep *verify.Report
+			for r := 0; r < repeats; r++ {
+				opts := verify.Options{FindAll: true, Parallel: w,
+					Preprocess: cfg.Preprocess, Slice: cfg.Slice}
+				start := time.Now()
+				rep, err := verify.Run(prog, nil, spec, opts)
+				wall := time.Since(start)
 				if err != nil {
-					return nil, err
+					return nil, fmt.Errorf("bench: preproc config=%s workers=%d: %w",
+						cfg.Name, w, err)
 				}
-				if baseline == nil {
-					baseline, baseWall = canon, best
-					res.Assertions = bestRep.Stats.Assertions
+				if bestRep == nil || wall < best {
+					best, bestRep = wall, rep
 				}
-				mode := "fresh"
-				if incremental {
-					mode = "incremental"
-				}
-				if incremental && w == 1 {
-					switch cfg.Name {
-					case "baseline":
-						baseClauses = int64(bestRep.Stats.CNFClauses)
-						baseProps = bestRep.Stats.Propagations
-					case "both":
-						bothClauses = int64(bestRep.Stats.CNFClauses)
-						bothProps = bestRep.Stats.Propagations
-					}
-				}
-				res.Rows = append(res.Rows, PreprocRow{
-					Config:          cfg.Name,
-					Mode:            mode,
-					Workers:         w,
-					WallMS:          float64(best.Microseconds()) / 1000,
-					SolveCPUMS:      float64(bestRep.Stats.SolveCPU.Microseconds()) / 1000,
-					CNFClauses:      int64(bestRep.Stats.CNFClauses),
-					Propagations:    bestRep.Stats.Propagations,
-					ElimVars:        bestRep.Stats.ElimVars,
-					SubsumedClauses: bestRep.Stats.SubsumedClauses,
-					SliceDropped:    bestRep.Stats.SliceDropped,
-					RelWall:         float64(best) / float64(baseWall),
-					Identical:       bytes.Equal(canon, baseline),
-					Bugs:            len(bestRep.Violations),
-				})
 			}
+			canon, err := bestRep.CanonicalJSON()
+			if err != nil {
+				return nil, err
+			}
+			if baseline == nil {
+				baseline, baseWall = canon, best
+				res.Assertions = bestRep.Stats.Assertions
+			}
+			if w == 1 {
+				switch cfg.Name {
+				case "baseline":
+					baseClauses = int64(bestRep.Stats.CNFClauses)
+					baseProps = bestRep.Stats.Propagations
+				case "both":
+					bothClauses = int64(bestRep.Stats.CNFClauses)
+					bothProps = bestRep.Stats.Propagations
+				}
+			}
+			res.Rows = append(res.Rows, PreprocRow{
+				Config:          cfg.Name,
+				Mode:            "fresh",
+				Workers:         w,
+				WallMS:          float64(best.Microseconds()) / 1000,
+				SolveCPUMS:      float64(bestRep.Stats.SolveCPU.Microseconds()) / 1000,
+				CNFClauses:      int64(bestRep.Stats.CNFClauses),
+				Propagations:    bestRep.Stats.Propagations,
+				ElimVars:        bestRep.Stats.ElimVars,
+				SubsumedClauses: bestRep.Stats.SubsumedClauses,
+				SliceDropped:    bestRep.Stats.SliceDropped,
+				RelWall:         float64(best) / float64(baseWall),
+				Identical:       bytes.Equal(canon, baseline),
+				Bugs:            len(bestRep.Violations),
+			})
 		}
 	}
 	if baseClauses > 0 {
@@ -228,9 +219,9 @@ func FormatPreproc(r *PreprocResult) string {
 			row.CNFClauses, row.Propagations, row.ElimVars, row.SubsumedClauses,
 			row.SliceDropped, row.Identical)
 	}
-	fmt.Fprintf(&b, "clause reduction (both vs baseline, incremental workers=1): %.1f%%\n",
+	fmt.Fprintf(&b, "clause reduction (both vs baseline, workers=1): %.1f%%\n",
 		100*r.ClauseReduction)
-	fmt.Fprintf(&b, "propagation reduction (both vs baseline, incremental workers=1): %.1f%%\n",
+	fmt.Fprintf(&b, "propagation reduction (both vs baseline, workers=1): %.1f%%\n",
 		100*r.PropagationReduction)
 	return b.String()
 }

@@ -51,12 +51,11 @@ type engineConfig struct {
 	opts verify.Options
 }
 
-// engineMatrix spans {fresh, parallel, incremental} × {plain, preprocess,
+// engineMatrix spans {fresh, parallel, stream} × {plain, preprocess,
 // slice}: every solving strategy the driver exposes must produce the same
 // verdict and byte-identical canonical report. Cells that would be
-// redundant (preprocess+slice together re-tests both pure cells' code
-// paths) are collapsed into one combined cell to keep per-input cost
-// bounded.
+// redundant are collapsed to keep per-input cost bounded; the stream cell
+// carries the combined preprocess+slice configuration.
 func engineMatrix() []engineConfig {
 	return []engineConfig{
 		{"fresh", verify.Options{FindAll: true, Parallel: 1}},
@@ -64,8 +63,7 @@ func engineMatrix() []engineConfig {
 		{"fresh+slice", verify.Options{FindAll: true, Parallel: 1, Slice: true}},
 		{"parallel", verify.Options{FindAll: true, Parallel: 4}},
 		{"parallel+slice", verify.Options{FindAll: true, Parallel: 4, Slice: true}},
-		{"incremental", verify.Options{FindAll: true, Parallel: 1, Incremental: true}},
-		{"incremental+preprocess+slice", verify.Options{FindAll: true, Parallel: 1, Incremental: true, Preprocess: true, Slice: true}},
+		{"stream+preprocess+slice", verify.Options{FindAll: true, Parallel: 1, Stream: true, Preprocess: true, Slice: true}},
 	}
 }
 

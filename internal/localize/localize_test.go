@@ -7,6 +7,7 @@ import (
 	"aquila/internal/lpi"
 	"aquila/internal/p4"
 	"aquila/internal/tables"
+	"aquila/internal/verify"
 )
 
 // ttlProgram is the paper's Figure 4 / Figure 9 setting: actions copy the
@@ -267,12 +268,12 @@ func TestResultString(t *testing.T) {
 	}
 }
 
-// TestLocalizeIncrementalDifferential pins localization outcomes across
-// solving modes: the shared-prefix incremental engine (with and without
-// workers) must produce the same kind, violated set, suspect tables, and
-// candidate locations as the default fresh-solver mode on both a
+// TestLocalizeParallelDifferential pins localization outcomes across
+// engine settings: the worker pool, and CNF preprocessing in the
+// verdict-only solvers, must produce the same kind, violated set, suspect
+// tables, and candidate locations as the serial default on both a
 // table-entry bug and the two program-bug stories.
-func TestLocalizeIncrementalDifferential(t *testing.T) {
+func TestLocalizeParallelDifferential(t *testing.T) {
 	wrongStmt := strings.Replace(ttlProgramMissing,
 		"action a_dec() { ig_md.ttl = ig_md.ttl; } // bug: decrement missing",
 		"action a_dec() { ig_md.ttl = ig_md.ttl - 2; } // bug: wrong constant", 1)
@@ -290,39 +291,43 @@ func TestLocalizeIncrementalDifferential(t *testing.T) {
 	}
 	for _, c := range cases {
 		prog, spec, snap := setup(t, c.src, ttlSpec, c.snap)
-		base, err := Localize(prog, snap, spec, Options{})
+		base, err := Localize(prog, snap, spec, Options{Verify: verify.Options{Parallel: 1}})
 		if err != nil {
-			t.Fatalf("%s: fresh: %v", c.name, err)
+			t.Fatalf("%s: serial: %v", c.name, err)
 		}
-		for _, w := range []int{1, 2} {
-			opts := Options{}
-			opts.Verify.Incremental = true
-			opts.Verify.Simplify = true
-			opts.Verify.Parallel = w
-			res, err := Localize(prog, snap, spec, opts)
+		for _, cell := range []struct {
+			name  string
+			vopts verify.Options
+		}{
+			{"w2", verify.Options{Parallel: 2}},
+			{"preprocess/w1", verify.Options{Parallel: 1, Preprocess: true}},
+			{"preprocess/w2", verify.Options{Parallel: 2, Preprocess: true}},
+		} {
+			w := cell.name
+			res, err := Localize(prog, snap, spec, Options{Verify: cell.vopts})
 			if err != nil {
-				t.Fatalf("%s: incremental w=%d: %v", c.name, w, err)
+				t.Fatalf("%s: %s: %v", c.name, w, err)
 			}
 			if res.Kind != base.Kind {
-				t.Fatalf("%s w=%d: kind = %v, fresh = %v", c.name, w, res.Kind, base.Kind)
+				t.Fatalf("%s %s: kind = %v, serial = %v", c.name, w, res.Kind, base.Kind)
 			}
 			if strings.Join(res.Violated, ",") != strings.Join(base.Violated, ",") {
-				t.Errorf("%s w=%d: violated %v != fresh %v", c.name, w, res.Violated, base.Violated)
+				t.Errorf("%s %s: violated %v != serial %v", c.name, w, res.Violated, base.Violated)
 			}
 			if strings.Join(res.Tables, ",") != strings.Join(base.Tables, ",") {
-				t.Errorf("%s w=%d: tables %v != fresh %v", c.name, w, res.Tables, base.Tables)
+				t.Errorf("%s %s: tables %v != serial %v", c.name, w, res.Tables, base.Tables)
 			}
 			if len(res.Candidates) != len(base.Candidates) {
-				t.Fatalf("%s w=%d: candidates %v != fresh %v", c.name, w, res.Candidates, base.Candidates)
+				t.Fatalf("%s %s: candidates %v != serial %v", c.name, w, res.Candidates, base.Candidates)
 			}
 			for i := range res.Candidates {
 				if res.Candidates[i] != base.Candidates[i] {
-					t.Errorf("%s w=%d: candidate[%d] %v != fresh %v",
+					t.Errorf("%s %s: candidate[%d] %v != serial %v",
 						c.name, w, i, res.Candidates[i], base.Candidates[i])
 				}
 			}
 			if res.Pool != base.Pool {
-				t.Errorf("%s w=%d: pool %d != fresh %d", c.name, w, res.Pool, base.Pool)
+				t.Errorf("%s %s: pool %d != serial %d", c.name, w, res.Pool, base.Pool)
 			}
 		}
 	}

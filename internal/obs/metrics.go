@@ -25,14 +25,13 @@ const (
 	CtrSATStrengthened = "sat.strengthened_clauses"
 
 	// SMT layer (bit-blasting and term interning).
-	CtrSMTTseitinClauses   = "smt.tseitin_clauses"
-	CtrSMTBlastHits        = "smt.blast_cache_hits"
-	CtrSMTBlastMisses      = "smt.blast_cache_misses"
-	CtrSMTInternHits       = "smt.intern_hits"
-	CtrSMTInternMisses     = "smt.intern_misses"
-	CtrSMTFrozenLocks      = "smt.frozen_ctx_locks"
-	CtrSMTSimplifyRewrites = "smt.simplify_rewrites"
-	CtrSMTTermsReleased    = "smt.terms_released"
+	CtrSMTTseitinClauses = "smt.tseitin_clauses"
+	CtrSMTBlastHits      = "smt.blast_cache_hits"
+	CtrSMTBlastMisses    = "smt.blast_cache_misses"
+	CtrSMTInternHits     = "smt.intern_hits"
+	CtrSMTInternMisses   = "smt.intern_misses"
+	CtrSMTFrozenLocks    = "smt.frozen_ctx_locks"
+	CtrSMTTermsReleased  = "smt.terms_released"
 
 	// GCL structure: one counter per statement kind reachable in the
 	// compiled verification program, named CtrGCLStmtPrefix + kind. The
@@ -52,7 +51,6 @@ const (
 	CtrVerifyDeltaRecheck = "verify.delta_recheck"
 	GaugeTermNodes        = "smt.term_nodes"
 	GaugeVerifyWorkers    = "verify.workers"
-	GaugeVerifyShards     = "verify.incremental_shards"
 
 	// Continuous verification daemon (internal/serve): applied deltas,
 	// requests rejected before reaching a session (parse/validation/size

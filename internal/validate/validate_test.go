@@ -269,26 +269,3 @@ func TestResultString(t *testing.T) {
 		t.Fatalf("unexpected report: %s", res)
 	}
 }
-
-// TestValidateSimplifyAgrees pins ValidateSimplify to the plain
-// validator's verdicts: equivalence on a correct encoder, and detection
-// of an injected encoder bug — the simplifier must not paper over a
-// genuine refinement mismatch.
-func TestValidateSimplifyAgrees(t *testing.T) {
-	prog := parse(t, prog1)
-	res, err := ValidateSimplify(prog, snapshot(), []string{"pl"}, encode.Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !res.Equivalent {
-		t.Fatalf("simplified queries must stay equivalent:\n%s", res)
-	}
-	bugProg := parse(t, emptyStateProg)
-	res, err = ValidateSimplify(bugProg, nil, []string{"P"}, encode.Options{InjectEncoderBug: "empty-state-accept"})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Equivalent {
-		t.Fatal("empty-state-accept bug must survive simplification")
-	}
-}

@@ -114,7 +114,7 @@ func (rep *Report) recordCheck(o *obs.Obs, label string, worker int,
 
 // installProgress points a solver's heartbeat at the run's ring,
 // labeled with the check it is about to work on. Reinstalled per check
-// on shared (incremental) solvers so samples carry the in-flight
+// on the Session's shared solver so samples carry the in-flight
 // assertion. No-op without a ring; the solver then keeps a nil hook
 // and pays one nil check per conflict.
 func installProgress(o *obs.Obs, s *smt.Solver, label string, worker int) {

@@ -75,41 +75,54 @@ func TestParallelReportsByteIdentical(t *testing.T) {
 }
 
 // TestParallelBudgetExhaustion pins budget semantics under parallelism:
-// a budget too small for any check makes every worker stop, ErrBudget
-// surfaces exactly as in the serial run, and the partial report (the
-// consumed prefix before the first exhausted check) is byte-identical.
+// ErrBudget surfaces exactly as in the serial run, every worker stops, and
+// the partial report (the consumed prefix before the first exhausted
+// check) is byte-identical at every worker count. Two budgets: one that
+// only the DC gateway's first, conflict-free check survives, and one that
+// lets the skewed-telemetry program's light checks and its violation
+// finish before its one heavy obligation exhausts. Every check runs on
+// its own fresh solver, so how far a budget reaches never depends on the
+// schedule.
 func TestParallelBudgetExhaustion(t *testing.T) {
-	bm := progs.DCGatewayBench()
-	prog, err := bm.Parse()
-	if err != nil {
-		t.Fatalf("parse: %v", err)
-	}
-	spec, err := lpi.Parse(progs.InvalidHeaderAccessSpec(prog, bm.Calls))
-	if err != nil {
-		t.Fatalf("spec: %v", err)
-	}
-	opts := Options{FindAll: true, Budget: 1, Parallel: 1}
-	serial, err := Run(prog, nil, spec, opts)
-	if !errors.Is(err, ErrBudget) {
-		t.Fatalf("serial budget=1: err = %v, want ErrBudget", err)
-	}
-	want, cerr := serial.CanonicalJSON()
-	if cerr != nil {
-		t.Fatalf("canonical: %v", cerr)
-	}
-	for _, w := range []int{4, 8} {
-		opts.Parallel = w
-		rep, err := Run(prog, nil, spec, opts)
-		if !errors.Is(err, ErrBudget) {
-			t.Fatalf("workers=%d budget=1: err = %v, want ErrBudget", w, err)
+	for _, c := range []struct {
+		bm       *progs.Benchmark
+		budget   int64
+		finished int // checks consumed before the exhausted one
+	}{
+		{progs.DCGatewayBench(), 1, 1},
+		{progs.SkewedBench(), 1000, 6},
+	} {
+		prog, err := c.bm.Parse()
+		if err != nil {
+			t.Fatalf("%s: parse: %v", c.bm.Name, err)
 		}
-		got, cerr := rep.CanonicalJSON()
-		if cerr != nil {
-			t.Fatalf("workers=%d canonical: %v", w, cerr)
+		spec, err := lpi.Parse(progs.InvalidHeaderAccessSpec(prog, c.bm.Calls))
+		if err != nil {
+			t.Fatalf("%s: spec: %v", c.bm.Name, err)
 		}
-		if !bytes.Equal(got, want) {
-			t.Errorf("workers=%d: budget-exhausted report differs from serial\nserial: %s\nparallel: %s",
-				w, want, got)
+		var want []byte
+		for _, w := range []int{1, 2, 4, 8} {
+			rep, err := Run(prog, nil, spec, Options{FindAll: true, Budget: c.budget, Parallel: w})
+			if !errors.Is(err, ErrBudget) {
+				t.Fatalf("%s workers=%d budget=%d: err = %v, want ErrBudget", c.bm.Name, w, c.budget, err)
+			}
+			got, cerr := rep.CanonicalJSON()
+			if cerr != nil {
+				t.Fatalf("%s workers=%d canonical: %v", c.bm.Name, w, cerr)
+			}
+			if w == 1 {
+				pa := rep.Stats.PerAssertion
+				if len(pa) != c.finished+1 || pa[len(pa)-1].Status != "unknown" {
+					t.Fatalf("%s budget=%d: consumed %d checks, want %d finished then one unknown",
+						c.bm.Name, c.budget, len(pa), c.finished)
+				}
+				want = got
+				continue
+			}
+			if !bytes.Equal(got, want) {
+				t.Errorf("%s workers=%d: budget-exhausted report differs from serial\nserial: %s\nparallel: %s",
+					c.bm.Name, w, want, got)
+			}
 		}
 	}
 }

@@ -13,9 +13,11 @@ import (
 
 // TestPreprocessSliceMatchBaseline is the differential contract of the CNF
 // preprocessing and cone-of-influence slicing passes: on the whole corpus,
-// every combination of {preprocess, slice} across fresh, parallel, and
-// incremental engines at several worker counts produces canonical report
-// bytes identical to the plain serial baseline.
+// every combination of {preprocess, slice} at several worker counts
+// produces canonical report bytes identical to the plain serial baseline.
+// Eight workers on two or four CPUs keep the -race job's interleavings
+// busy: fresh solvers blast concurrently from the frozen context and
+// every Sat is re-solved on the same DAG.
 func TestPreprocessSliceMatchBaseline(t *testing.T) {
 	type pass struct {
 		name       string
@@ -37,28 +39,24 @@ func TestPreprocessSliceMatchBaseline(t *testing.T) {
 			t.Fatalf("%s: canonical: %v", c.name, err)
 		}
 		for _, p := range passes {
-			for _, incremental := range []bool{false, true} {
-				for _, w := range []int{1, 2, 4} {
-					opts := Options{FindAll: true, Parallel: w,
-						Incremental: incremental,
-						Preprocess:  p.preprocess, Slice: p.slice}
-					rep, err := Run(c.prog, nil, c.spec, opts)
-					if err != nil {
-						t.Fatalf("%s: %s incremental=%v w=%d: %v",
-							c.name, p.name, incremental, w, err)
-					}
-					got, err := rep.CanonicalJSON()
-					if err != nil {
-						t.Fatalf("%s: %s w=%d canonical: %v", c.name, p.name, w, err)
-					}
-					if !bytes.Equal(got, want) {
-						t.Errorf("%s: %s incremental=%v w=%d differs from baseline\nbaseline: %s\ngot: %s",
-							c.name, p.name, incremental, w, want, got)
-					}
-					if p.slice && rep.Stats.SliceConjuncts == 0 {
-						t.Errorf("%s: %s w=%d: slicing recorded no conjuncts",
-							c.name, p.name, w)
-					}
+			for _, w := range []int{1, 2, 4, 8} {
+				opts := Options{FindAll: true, Parallel: w,
+					Preprocess: p.preprocess, Slice: p.slice}
+				rep, err := Run(c.prog, nil, c.spec, opts)
+				if err != nil {
+					t.Fatalf("%s: %s w=%d: %v", c.name, p.name, w, err)
+				}
+				got, err := rep.CanonicalJSON()
+				if err != nil {
+					t.Fatalf("%s: %s w=%d canonical: %v", c.name, p.name, w, err)
+				}
+				if !bytes.Equal(got, want) {
+					t.Errorf("%s: %s w=%d differs from baseline\nbaseline: %s\ngot: %s",
+						c.name, p.name, w, want, got)
+				}
+				if p.slice && rep.Stats.SliceConjuncts == 0 {
+					t.Errorf("%s: %s w=%d: slicing recorded no conjuncts",
+						c.name, p.name, w)
 				}
 			}
 		}
@@ -133,7 +131,7 @@ func TestSliceGenprogDifferential(t *testing.T) {
 		}
 		for _, w := range []int{1, 2} {
 			rep, err := Run(prog, nil, spec, Options{FindAll: true, Parallel: w,
-				Preprocess: true, Slice: true, Incremental: w == 2})
+				Preprocess: true, Slice: true})
 			if err != nil {
 				t.Fatalf("%s: w=%d: %v", cfg.Name, w, err)
 			}
@@ -149,54 +147,24 @@ func TestSliceGenprogDifferential(t *testing.T) {
 	}
 }
 
-// TestStaticShardsNoEmpty is the regression test for the empty-shard bug:
-// StaticShards must never hand a caller an empty shard (each one would
-// spawn a shard goroutine owning an idle solver), and zero work must yield
-// zero shards.
-func TestStaticShardsNoEmpty(t *testing.T) {
-	for _, tc := range []struct{ shards, n, want int }{
-		{4, 0, 0},
-		{1, 0, 0},
-		{0, 0, 0},
-		{4, 2, 2},
-		{8, 3, 3},
-		{2, 5, 2},
-		{1, 1, 1},
+// TestFindAllZeroAssertions pins the n = 0 path end to end: a find-all
+// run over an empty assertion list must hold, spawn no solvers, and not
+// panic, on the serial path, the worker pool and the stream policy.
+func TestFindAllZeroAssertions(t *testing.T) {
+	for _, opts := range []Options{
+		{FindAll: true, Parallel: 1, Preprocess: true, Slice: true},
+		{FindAll: true, Parallel: 4, Preprocess: true, Slice: true},
+		{FindAll: true, Parallel: 1, Stream: true, Preprocess: true, Slice: true},
 	} {
-		got := StaticShards(tc.shards, tc.n)
-		if len(got) != tc.want {
-			t.Errorf("StaticShards(%d, %d): %d shards, want %d",
-				tc.shards, tc.n, len(got), tc.want)
-		}
-		seen := 0
-		for s, shard := range got {
-			if len(shard) == 0 {
-				t.Errorf("StaticShards(%d, %d): shard %d is empty", tc.shards, tc.n, s)
-			}
-			seen += len(shard)
-		}
-		if seen != tc.n {
-			t.Errorf("StaticShards(%d, %d): %d indices covered, want %d",
-				tc.shards, tc.n, seen, tc.n)
-		}
-	}
-}
-
-// TestIncrementalZeroAssertions pins the n = 0 path end to end: an
-// incremental run over an empty assertion list must hold, spawn no
-// solvers, and not panic on the (absent) first shard.
-func TestIncrementalZeroAssertions(t *testing.T) {
-	for _, w := range []int{1, 4} {
 		rep := &Report{Ctx: smt.NewCtx(), Result: &gcl.Result{}}
-		if err := rep.check(Options{FindAll: true, Incremental: true, Parallel: w,
-			Preprocess: true, Slice: true}); err != nil {
-			t.Fatalf("w=%d: %v", w, err)
+		if err := rep.check(opts); err != nil {
+			t.Fatalf("%+v: %v", opts, err)
 		}
-		if !rep.Holds && len(rep.Violations) != 0 {
-			t.Fatalf("w=%d: violations on empty assertion list", w)
+		if len(rep.Violations) != 0 {
+			t.Fatalf("%+v: violations on empty assertion list", opts)
 		}
 		if rep.Stats.SATVars != 0 || rep.Stats.CNFClauses != 0 {
-			t.Fatalf("w=%d: empty run created solver work: %+v", w, rep.Stats)
+			t.Fatalf("%+v: empty run created solver work: %+v", opts, rep.Stats)
 		}
 	}
 }

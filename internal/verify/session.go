@@ -51,14 +51,15 @@ import (
 //     cannot make a held assertion fail.
 //   - anything else (changed slice, cached Sat under a changed full
 //     condition, cached Unknown) → re-check on the warm shared solver
-//     with the same canonicalization the incremental engine uses: a Sat
+//     with the canonicalization of checkOneShared: a Sat
 //     is re-solved on the full condition by a deterministic fresh
 //     solver, a sliced Sat whose full condition is Unsat becomes Unsat,
 //     a contradiction surfaces as Unknown.
 //
 // Under those rules every Apply report's CanonicalJSON is byte-identical
 // to a fresh verify.Run on the mutated snapshot, with budget-exhaustion
-// (Unknown) verdicts the same documented exception incremental mode has.
+// (Unknown) verdicts the one documented exception: learned clauses on the
+// warm solver change how far a budget reaches.
 type Session struct {
 	prog *p4.Program
 	spec *lpi.Spec
@@ -437,8 +438,8 @@ func (s *Session) replay(ce *sessionEntry, v *gcl.Violation, checkCond *smt.Term
 	return 0, false
 }
 
-// recheck solves one condition on the warm shared solver with the
-// incremental engine's canonicalization (checkOneShared). A previously
+// recheck solves one condition on the warm shared solver with
+// checkOneShared's canonicalization. A previously
 // retired condition recurring here is fine: checkOneShared's Indicator
 // call re-freezes the variable, restoring it if preprocessing had
 // eliminated it in the meantime.

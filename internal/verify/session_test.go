@@ -473,7 +473,6 @@ func TestSessionValidateOptions(t *testing.T) {
 		want string
 	}{
 		{"find-first", Options{Session: true}, "find-all"},
-		{"incremental", Options{Session: true, FindAll: true, Incremental: true}, "-incremental"},
 		{"stream", Options{Session: true, FindAll: true, Stream: true}, "-stream"},
 		{"parallel", Options{Session: true, FindAll: true, Parallel: 8}, "-parallel"},
 	}
@@ -490,7 +489,7 @@ func TestSessionValidateOptions(t *testing.T) {
 	// NewSession force-fixes FindAll/Slice but must still reject engine
 	// conflicts.
 	prog, spec, snap := churnProblem(t)
-	if _, err := NewSession(prog, snap, spec, Options{Incremental: true}); err == nil {
-		t.Fatal("NewSession accepted incremental options")
+	if _, err := NewSession(prog, snap, spec, Options{Stream: true}); err == nil {
+		t.Fatal("NewSession accepted stream options")
 	}
 }

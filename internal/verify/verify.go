@@ -35,18 +35,6 @@ type Options struct {
 	// Budget bounds SAT conflicts per check (<=0: unlimited). Exhaustion
 	// is reported as ErrBudget.
 	Budget int64
-	// Incremental makes find-all checks share solvers: the common VC
-	// prefix is blasted once per worker shard and each assertion is
-	// checked under an activation literal, reusing the CNF and learned
-	// clauses across checks ("blast once, check many"). Verdicts and
-	// canonical reports are identical to fresh-solver mode; raw cost
-	// counters differ (that is the point). Ignored in find-first mode.
-	Incremental bool
-	// Simplify applies the algebraic simplification pass
-	// (smt.Simplifier) to assertion conditions before blasting.
-	// Only consulted in incremental mode, so the fresh-solver baseline
-	// stays bit-for-bit what it always was.
-	Simplify bool
 	// Preprocess enables SatELite-style CNF preprocessing (subsumption,
 	// self-subsuming resolution, bounded variable elimination) in the SAT
 	// core of every checking solver. Verdicts are unchanged; counterexample
@@ -68,8 +56,7 @@ type Options struct {
 	// bounded by the VC plus one assertion's transients instead of growing
 	// with the whole run. Verdicts and canonical reports are byte-identical
 	// to plain fresh mode. Requires the serial path (a frozen shared
-	// context cannot release) and fresh solvers (shared solvers keep
-	// references to released terms); ignored in find-first mode.
+	// context cannot release); ignored in find-first mode.
 	Stream bool
 	// Parallel is the number of worker goroutines for find-all checks and
 	// localization re-checks: 0 means runtime.GOMAXPROCS(0), 1 forces the
@@ -104,20 +91,12 @@ type Options struct {
 // error naming the conflict, instead of one mode silently winning. Run and
 // RunWithEnv call it, so every CLI inherits the same rejections.
 func (o Options) Validate() error {
-	if o.Stream {
-		if o.Incremental {
-			return fmt.Errorf("verify: -stream and -incremental are incompatible (streaming releases terms the incremental engine's shared solvers still reference)")
-		}
-		if o.Parallel > 1 {
-			return fmt.Errorf("verify: -stream is incompatible with -parallel %d (streaming releases terms from the arena, which a frozen shared context cannot do; use -parallel 1)", o.Parallel)
-		}
+	if o.Stream && o.Parallel > 1 {
+		return fmt.Errorf("verify: -stream is incompatible with -parallel %d (streaming releases terms from the arena, which a frozen shared context cannot do; use -parallel 1)", o.Parallel)
 	}
 	if o.Session {
 		if !o.FindAll {
 			return fmt.Errorf("verify: -churn requires find-all mode (-all); the session engine replays and rechecks assertions one by one")
-		}
-		if o.Incremental {
-			return fmt.Errorf("verify: -churn is incompatible with -incremental (the session engine is its own incremental driver: one warm shared solver across deltas)")
 		}
 		if o.Stream {
 			return fmt.Errorf("verify: -churn is incompatible with -stream (streaming releases terms the session's caches and warm solver still reference)")
@@ -239,26 +218,9 @@ type Stats struct {
 	// Workers is the effective worker count of the solving phase.
 	Workers int
 
-	// Incremental records whether the run shared solvers across checks;
-	// Shards is the number of per-worker incremental solvers it used
-	// (0 in fresh mode).
-	Incremental bool
-	Shards      int
-	// SimplifyRewrites counts DAG nodes changed by the simplification
-	// pass (0 when the pass is off).
-	SimplifyRewrites int64
-	// PrefixClauses is the Tseitin cost of each shard's first check
-	// summed over shards — the "blast once" part of the run, dominated by
-	// the shared VC prefix. Later checks pay only their per-assertion
-	// delta.
-	PrefixClauses int64
-
 	// SAT-core search totals, summed across the same solver instances as
-	// CNFClauses/SATVars. In fresh mode these are deterministic for a
-	// given formula at every worker count (every check runs a
-	// deterministic fresh solver); in incremental mode they depend on the
-	// shard composition and are only deterministic for a fixed worker
-	// count.
+	// CNFClauses/SATVars. They are deterministic for a given formula at
+	// every worker count: every check runs a deterministic fresh solver.
 	Conflicts     int64
 	Decisions     int64
 	Propagations  int64
@@ -267,9 +229,7 @@ type Stats struct {
 	LearntLits    int64
 	LearntDeleted int64
 	// TseitinClauses counts CNF clauses emitted by the blasters (>=
-	// retained CNFClauses); the headline metric incremental mode shrinks.
-	// BlastHits counts per-term blast-cache hits — the reuse incremental
-	// mode buys.
+	// retained CNFClauses); BlastHits counts per-term blast-cache hits.
 	TseitinClauses int64
 	BlastHits      int64
 
@@ -591,18 +551,12 @@ func (rep *Report) checkOne(opts Options, v *gcl.Violation, checkCond *smt.Term,
 	return out
 }
 
-// sharedSolver is a long-lived solver answering many checks through
-// activation literals: one per incremental shard, and the Session's warm
-// solver. prev is its rolling stats snapshot for per-check deltas.
+// sharedSolver is the Session's warm solver: one long-lived solver
+// answering many checks through activation literals. prev is its rolling
+// stats snapshot for per-check deltas.
 type sharedSolver struct {
 	*smt.Solver
 	prev smt.SolverStats
-	// prefix is the largest single-check Tseitin delta: the check that
-	// first touches the real VC blasts the whole shared prefix and later
-	// checks reuse its CNF, so the largest delta is that one-time cost (a
-	// plain "first check" would under-report when an early condition
-	// simplifies to a constant and blasts nothing).
-	prefix int64
 }
 
 // checkOneShared is the shared-solver unit of work: check one (possibly
@@ -613,7 +567,7 @@ type sharedSolver struct {
 // variable-disjoint remainder was unsatisfiable on its own), and a
 // contradicting re-check surfaces as Unknown rather than fabricating a
 // model. The result's stats are this check's delta including any re-check
-// cost; sh.prefix sees the shared solver's own Tseitin delta only.
+// cost.
 func (rep *Report) checkOneShared(opts Options, v *gcl.Violation, checkCond *smt.Term, worker int, sh *sharedSolver) (out checkOut) {
 	o := opts.Observer()
 	installProgress(o, sh.Solver, v.Label, worker)
@@ -624,7 +578,6 @@ func (rep *Report) checkOneShared(opts Options, v *gcl.Violation, checkCond *smt
 	cur := sh.SolverStats()
 	out.ss = statsDelta(cur, sh.prev)
 	sh.prev = cur
-	sh.prefix = max(sh.prefix, out.ss.TseitinClauses)
 	if out.status != smt.Sat {
 		return out
 	}
@@ -792,21 +745,17 @@ func modelAssignment(ctx *smt.Ctx, m *smt.Model, t *smt.Term) *smt.Term {
 var streamReleaseMin = 1024
 
 // checkAll runs the §5.1/§8.1 find-all mode: every violation condition is
-// checked independently, in three steps.
+// checked independently by a deterministic fresh solver, in three steps.
 //
 //  1. Prepare the check conditions, serially while the context may still
-//     intern: cone-of-influence slices (Options.Slice) and, for shared
-//     solvers, algebraic simplification (Options.Simplify).
-//  2. With more than one worker, freeze the context and run the workers.
-//     The solver policy picks the queue: fresh solvers (the default) take
-//     the next index from a shared counter (ForEachWorker); shared solvers
-//     (Options.Incremental) each walk one StaticShards shard in ascending
-//     order, so the assertion sequence a solver accumulates state over is
-//     reproducible. Workers stop at the lowest budget-exhausted index.
+//     intern: cone-of-influence slices (Options.Slice).
+//  2. With more than one worker, freeze the context and run the workers,
+//     each taking the next index from a shared counter (ForEachWorker).
+//     Workers stop at the lowest budget-exhausted index.
 //  3. Consume the results in assertion order through consume, up to the
 //     first budget Unknown. Checks the workers did not run — every check
-//     on the serial path — run inline here under the same policy, so the
-//     consumed prefix is identical at every Parallel setting.
+//     on the serial path — run inline here, so the consumed prefix is
+//     identical at every Parallel setting.
 //
 // Stream is a memory policy of the serial path: conditions are sliced
 // lazily in step 3, and the arena is rolled back to a pre-slicing
@@ -817,11 +766,9 @@ var streamReleaseMin = 1024
 //
 // Determinism: every verdict is semantic and every Sat is re-solved on
 // the original condition by the same deterministic fresh solver, so
-// canonical reports are byte-identical across worker counts, solver
-// policies and the stream policy. Budget-exhaustion (Unknown) verdicts are
-// the one exception: learned clauses change how far a budget reaches, so
-// with shared solvers they can differ between worker counts (documented in
-// DESIGN.md).
+// canonical reports are byte-identical across worker counts and the
+// stream policy. A check's budget reach depends only on its own fresh
+// solver, so budget-exhaustion (Unknown) verdicts are too.
 func (rep *Report) checkAll(opts Options) error {
 	ctx := rep.Ctx
 	conds := rep.Result.Violations
@@ -833,13 +780,6 @@ func (rep *Report) checkAll(opts Options) error {
 	}
 	rep.Stats.Workers = workers
 	rep.Stats.Stream = opts.Stream
-	if opts.Incremental {
-		rep.Stats.Incremental = true
-		rep.Stats.Shards = workers
-		if o != nil && o.Metrics != nil {
-			o.Metrics.Gauge(obs.GaugeVerifyShards).Set(int64(workers))
-		}
-	}
 
 	// Step 1: prepare the check conditions.
 	var mark int
@@ -862,40 +802,17 @@ func (rep *Report) checkAll(opts Options) error {
 			endSlice()
 		}
 	}
-	if opts.Incremental && opts.Simplify {
-		endSimp := o.Phase(0, "simplify")
-		simp := smt.NewSimplifier(ctx)
-		for i, c := range checkConds {
-			checkConds[i] = simp.Simplify(c)
-		}
-		endSimp()
-		rep.Stats.SimplifyRewrites = simp.Rewrites
-		if o != nil && o.Metrics != nil {
-			o.Metrics.Counter(obs.CtrSMTSimplifyRewrites).Add(simp.Rewrites)
-		}
-		o.Event("simplify", map[string]any{"rewrites": simp.Rewrites})
-	}
 
 	outs := make([]checkOut, n)
-	// shared holds the shared-solver policy's solvers: shared[s] serves
-	// shard s on the workers; the serial path creates shared[0] on first use.
-	var shared []*sharedSolver
-	newShared := func() {
-		shared = append(shared, &sharedSolver{Solver: opts.newSolver(ctx, opts.Preprocess)})
-	}
 	// limit is the lowest assertion index seen to exhaust the budget;
 	// workers skip checks at or beyond it so every worker stops promptly.
 	var limit atomic.Int64
 	limit.Store(int64(n))
-	runCheck := func(worker, i int, sh *sharedSolver) {
+	runCheck := func(worker, i int) {
 		v := conds[i]
 		out := &outs[i]
 		endSpan := o.Span(worker, "solve:"+v.Label)
-		if sh != nil {
-			*out = rep.checkOneShared(opts, v, checkConds[i], worker, sh)
-		} else {
-			*out = rep.checkOne(opts, v, checkConds[i], worker)
-		}
+		*out = rep.checkOne(opts, v, checkConds[i], worker)
 		endSpan()
 		rep.recordCheck(o, v.Label, worker, out.ss, out.status, out.cpu)
 		out.done = true
@@ -921,38 +838,14 @@ func (rep *Report) checkAll(opts Options) error {
 		// The context becomes shared read-only state; blasting and model
 		// extraction never intern, and any stray term creation serializes.
 		ctx.Freeze()
-		if opts.Incremental {
-			shards := StaticShards(workers, n)
-			for range shards {
-				newShared()
+		ForEachWorker(workers, n, func(worker, i int) {
+			if int64(i) < limit.Load() {
+				runCheck(worker, i)
 			}
-			var wg sync.WaitGroup
-			for s, idx := range shards {
-				wg.Add(1)
-				go func() {
-					defer wg.Done()
-					for _, i := range idx {
-						if int64(i) >= limit.Load() {
-							break
-						}
-						runCheck(s+1, i, shared[s])
-					}
-				}()
-			}
-			wg.Wait()
-		} else {
-			ForEachWorker(workers, n, func(worker, i int) {
-				if int64(i) < limit.Load() {
-					runCheck(worker, i, nil)
-				}
-			})
-		}
+		})
 	}
 
-	// Step 3: consume in assertion order. A shard only skips indices at or
-	// beyond the final limit, so with shared solvers every consumed check
-	// already ran; the serial path runs each check here, on one shared
-	// solver walking the single shard in order.
+	// Step 3: consume in assertion order.
 	var err error
 	for i, v := range conds {
 		out := &outs[i]
@@ -962,14 +855,7 @@ func (rep *Report) checkAll(opts Options) error {
 				checkConds[i] = rep.sliceOne(sl, v)
 				endSlice()
 			}
-			var sh *sharedSolver
-			if opts.Incremental {
-				if len(shared) == 0 {
-					newShared()
-				}
-				sh = shared[0]
-			}
-			runCheck(0, i, sh)
+			runCheck(0, i)
 		}
 		// The counterexample is rendered here, before any stream release:
 		// the model is name-keyed and v.Cond predates the watermark, so the
@@ -990,9 +876,6 @@ func (rep *Report) checkAll(opts Options) error {
 		}
 	}
 
-	for _, sh := range shared {
-		rep.Stats.PrefixClauses += sh.prefix
-	}
 	if sl != nil {
 		rep.Stats.SliceConjuncts = sl.Conjuncts
 		rep.Stats.SliceDropped = sl.Dropped
@@ -1008,32 +891,6 @@ func (rep *Report) checkAll(opts Options) error {
 		}
 	}
 	return err
-}
-
-// StaticShards partitions indices 0..n-1 into `shards` slices by index
-// modulo: shard s owns s, s+shards, s+2*shards, ... in ascending order.
-// Unlike the dynamic scheduling of ForEachWorker, the assignment depends
-// only on (shards, n) — the property incremental solving needs, because
-// each shard accumulates state in a shared solver and the assertion
-// sequence a solver sees must be reproducible. With n <= 0 it returns no
-// shards at all: an empty shard would still make its owner spawn a solver
-// (and blast the shared prefix) for zero checks, so callers must get
-// nothing to iterate instead.
-func StaticShards(shards, n int) [][]int {
-	if n <= 0 {
-		return nil
-	}
-	if shards > n {
-		shards = n
-	}
-	if shards < 1 {
-		shards = 1
-	}
-	out := make([][]int, shards)
-	for i := 0; i < n; i++ {
-		out[i%shards] = append(out[i%shards], i)
-	}
-	return out
 }
 
 func (rep *Report) makeViolation(v *gcl.Violation, m *smt.Model) *Violation {
@@ -1154,11 +1011,6 @@ func (rep *Report) String() string {
 	fmt.Fprintf(&b, "sat:   %d conflicts, %d decisions, %d propagations, %d restarts, %d learnt clauses (%d literals)\n",
 		rep.Stats.Conflicts, rep.Stats.Decisions, rep.Stats.Propagations,
 		rep.Stats.Restarts, rep.Stats.LearntClauses, rep.Stats.LearntLits)
-	if rep.Stats.Incremental {
-		fmt.Fprintf(&b, "incr:  %d shards, %d tseitin clauses emitted (%d in shard prefixes), %d blast-cache hits, %d simplifier rewrites, %d learnt deleted\n",
-			rep.Stats.Shards, rep.Stats.TseitinClauses, rep.Stats.PrefixClauses,
-			rep.Stats.BlastHits, rep.Stats.SimplifyRewrites, rep.Stats.LearntDeleted)
-	}
 	if rep.Stats.ElimVars+rep.Stats.SubsumedClauses+rep.Stats.StrengthenedClauses > 0 {
 		fmt.Fprintf(&b, "prep:  %d vars eliminated, %d clauses subsumed, %d strengthened\n",
 			rep.Stats.ElimVars, rep.Stats.SubsumedClauses, rep.Stats.StrengthenedClauses)
@@ -1216,15 +1068,10 @@ type JSONStats struct {
 	LearntClauses int64 `json:"learnt_clauses"`
 	LearntLits    int64 `json:"learnt_literals"`
 
-	// Incremental-mode extras (absent in fresh mode and in canonical
-	// reports).
-	Incremental      bool  `json:"incremental,omitempty"`
-	Shards           int   `json:"shards,omitempty"`
-	SimplifyRewrites int64 `json:"simplify_rewrites,omitempty"`
-	PrefixClauses    int64 `json:"prefix_clauses,omitempty"`
-	TseitinClauses   int64 `json:"tseitin_clauses,omitempty"`
-	BlastHits        int64 `json:"blast_cache_hits,omitempty"`
-	LearntDeleted    int64 `json:"learnt_deleted,omitempty"`
+	// Blaster and learnt-DB extras (absent in canonical reports).
+	TseitinClauses int64 `json:"tseitin_clauses,omitempty"`
+	BlastHits      int64 `json:"blast_cache_hits,omitempty"`
+	LearntDeleted  int64 `json:"learnt_deleted,omitempty"`
 
 	// Preprocessing / slicing extras (absent with the passes off and in
 	// canonical reports).
@@ -1293,13 +1140,9 @@ func (rep *Report) JSON() ([]byte, error) {
 			LearntClauses: rep.Stats.LearntClauses,
 			LearntLits:    rep.Stats.LearntLits,
 
-			Incremental:      rep.Stats.Incremental,
-			Shards:           rep.Stats.Shards,
-			SimplifyRewrites: rep.Stats.SimplifyRewrites,
-			PrefixClauses:    rep.Stats.PrefixClauses,
-			TseitinClauses:   rep.Stats.TseitinClauses,
-			BlastHits:        rep.Stats.BlastHits,
-			LearntDeleted:    rep.Stats.LearntDeleted,
+			TseitinClauses: rep.Stats.TseitinClauses,
+			BlastHits:      rep.Stats.BlastHits,
+			LearntDeleted:  rep.Stats.LearntDeleted,
 
 			ElimVars:            rep.Stats.ElimVars,
 			SubsumedClauses:     rep.Stats.SubsumedClauses,
@@ -1355,10 +1198,10 @@ func (rep *Report) JSON() ([]byte, error) {
 // CNF/term sizes, histograms) renders as zero or is omitted, whatever
 // counters Stats grows. The result is deterministic across runs, across
 // Parallel settings, with or without observability sinks, and between
-// fresh-solver and incremental modes: two canonical reports of the same
-// verification problem compare byte-for-byte. Cost counters are excluded
-// because solver sharing changes them — that is the optimization, not a
-// behavioural difference; the raw JSON() report keeps them all.
+// the find-all engines (fresh, stream, the Session): two canonical reports
+// of the same verification problem compare byte-for-byte. Cost counters
+// are excluded because the engines' optimizations change them — that is
+// not a behavioural difference; the raw JSON() report keeps them all.
 func (rep *Report) CanonicalJSON() ([]byte, error) {
 	canon := Report{
 		Holds:      rep.Holds,

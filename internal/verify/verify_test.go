@@ -824,7 +824,7 @@ program {
 func TestOptionsValidate(t *testing.T) {
 	ok := []Options{
 		{},
-		{FindAll: true, Incremental: true, Parallel: 4},
+		{FindAll: true, Parallel: 4},
 		{FindAll: true, Stream: true, Parallel: 1},
 		{FindAll: true, Session: true, Parallel: 1},
 	}
@@ -837,10 +837,8 @@ func TestOptionsValidate(t *testing.T) {
 		opts Options
 		frag string
 	}{
-		{Options{FindAll: true, Stream: true, Incremental: true}, "-stream"},
 		{Options{FindAll: true, Stream: true, Parallel: 4}, "-stream"},
 		{Options{Session: true}, "find-all"},
-		{Options{FindAll: true, Session: true, Incremental: true}, "-incremental"},
 		{Options{FindAll: true, Session: true, Stream: true}, "-stream"},
 		{Options{FindAll: true, Session: true, Parallel: 4}, "-parallel"},
 	}
@@ -874,8 +872,6 @@ func TestCancelEveryEngine(t *testing.T) {
 		{"find-first-preprocess", Options{Preprocess: true}},
 		{"fresh-w1", Options{FindAll: true, Parallel: 1}},
 		{"fresh-w2", Options{FindAll: true, Parallel: 2}},
-		{"incremental-w1", Options{FindAll: true, Incremental: true, Parallel: 1}},
-		{"incremental-w2", Options{FindAll: true, Incremental: true, Parallel: 2}},
 		{"stream", Options{FindAll: true, Parallel: 1, Stream: true, Preprocess: true, Slice: true}},
 	} {
 		var tok atomic.Bool
