@@ -489,10 +489,10 @@ func BenchmarkFreshChecksSwitch(b *testing.B) {
 	}
 }
 
-// ecmpSession returns the DC gateway with a 1024-entry ECMP table, the
+// ecmpSession returns the DC gateway with an n-entry ECMP table, the
 // invalid-header-access spec without the items that snapshot violates
 // (so every state holds, as on a serving daemon), and the snapshot.
-func ecmpSession(b *testing.B) (*p4.Program, *lpi.Spec, *tables.Snapshot) {
+func ecmpSession(b *testing.B, n int) (*p4.Program, *lpi.Spec, *tables.Snapshot) {
 	bm := progs.DCGatewayBench()
 	prog, err := bm.Parse()
 	if err != nil {
@@ -500,7 +500,7 @@ func ecmpSession(b *testing.B) (*p4.Program, *lpi.Spec, *tables.Snapshot) {
 	}
 	rng := rand.New(rand.NewSource(1))
 	snap := tables.NewSnapshot()
-	for i := 0; i < ecmpEntries; i++ {
+	for i := 0; i < n; i++ {
 		snap.Add(ecmpTable, &tables.Entry{Keys: []tables.KeyMatch{tables.Exact(uint64(i))},
 			Action: "set_nhop", Args: []uint64{uint64(1 + rng.Intn(8))}, Priority: -1})
 	}
@@ -534,19 +534,23 @@ func ecmpSession(b *testing.B) (*p4.Program, *lpi.Spec, *tables.Snapshot) {
 	return prog, spec, snap
 }
 
-const (
-	ecmpEntries = 1024
-	ecmpTable   = "GatewayIngress.ecmp_nhop_tbl"
-)
+const ecmpTable = "GatewayIngress.ecmp_nhop_tbl"
 
 // BenchmarkSessionDeltaECMP is the serve-churn workload's warm path
 // without the HTTP daemon around it: one session over the DC gateway
-// with a 1024-entry ECMP table, and every iteration applies one seeded
-// replace of an ECMP entry (same key, seeded action). Run with
-// -benchmem; allocs/op is what re-encoding only the changed part of the
-// table exists to cut.
+// with an ECMP table of 1024 (as serve-churn) or 8192 entries, and every
+// iteration applies one seeded replace of an ECMP entry (same key,
+// seeded action). Run with -benchmem; allocs/op is what re-encoding only
+// the changed part of the table exists to cut, and the two sizes show
+// how a delta's cost grows with the table.
 func BenchmarkSessionDeltaECMP(b *testing.B) {
-	prog, spec, snap := ecmpSession(b)
+	for _, n := range []int{1024, 8192} {
+		b.Run(fmt.Sprintf("entries=%d", n), func(b *testing.B) { benchSessionDelta(b, n) })
+	}
+}
+
+func benchSessionDelta(b *testing.B, entries int) {
+	prog, spec, snap := ecmpSession(b, entries)
 	sess, err := verify.NewSession(prog, snap, spec, verify.Options{Parallel: 1})
 	if err != nil {
 		b.Fatal(err)
@@ -558,7 +562,7 @@ func BenchmarkSessionDeltaECMP(b *testing.B) {
 	rng := rand.New(rand.NewSource(1))
 	deltas := make([]*tables.Delta, b.N)
 	for i := range deltas {
-		idx := rng.Intn(ecmpEntries)
+		idx := rng.Intn(entries)
 		action := "a_drop"
 		if a := rng.Intn(9); a > 0 {
 			action = fmt.Sprintf("set_nhop(%d)", a)

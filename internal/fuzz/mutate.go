@@ -373,6 +373,10 @@ func (m *Mutator) MutateSnapshot(snap *tables.Snapshot, n int) (*tables.Snapshot
 		c := cands[m.rng.Intn(len(cands))]
 		c.apply()
 		applied = append(applied, c.desc)
+		// An edit may change an entry's priority or keys in place, which
+		// the snapshot's cached match order does not see; a clone orders
+		// afresh.
+		out = out.Clone()
 	}
 	return out, applied
 }

@@ -15,8 +15,13 @@ import (
 // the prefix came from. A Resumer keeps that state for the prefix its
 // last two programs shared and starts the next program from it when the
 // next program shares the prefix too; the Result is the one Encode gives.
+// Its encoder also keeps every substitution across runs (substKept), so
+// the statements after the prefix re-substitute only the sub-terms whose
+// free variables are bound differently.
 //
-// The context must keep the terms the kept state holds (no Release).
+// The context must keep the terms the kept state holds (no Release):
+// the kept substitutions are indexed by term ID, and a released ID is
+// given to a new term. Drop the Resumer with the terms.
 type Resumer struct {
 	enc  *Encoder
 	prev []Stmt       // the last program's top-level statements
@@ -34,7 +39,9 @@ type resumePoint struct {
 }
 
 // NewResumer returns a Resumer over ctx.
-func NewResumer(ctx *smt.Ctx) *Resumer { return &Resumer{enc: NewEncoder(ctx)} }
+func NewResumer(ctx *smt.Ctx) *Resumer {
+	return &Resumer{enc: &Encoder{ctx: ctx, keep: newKeeper()}}
+}
 
 // Encode produces the verification conditions of s from an all-symbolic
 // store, like Encoder.Encode(s, nil).

@@ -1,7 +1,9 @@
 package gcl
 
 import (
+	"encoding/binary"
 	"fmt"
+	"slices"
 	"sort"
 
 	"aquila/internal/smt"
@@ -151,12 +153,26 @@ type Encoder struct {
 	// terms, from paying for the whole ID space.
 	memo []*memoPage
 	gen  uint32
+
+	// keep is set on a Resumer's encoder only: Subst then keeps its
+	// results across calls and runs (see substKept).
+	keep *keeper
 }
 
 const memoPageShift = 7
 
 type memoPage struct {
-	gen [1 << memoPageShift]uint32
+	gen  [1 << memoPageShift]uint32
+	val  [1 << memoPageShift]*smt.Term
+	kept *keptPage // nil on a cold encoder
+}
+
+// keptPage holds what substKept keeps per term ID across Subst calls: the
+// term's free variables, and its last substitution with the bindings of
+// those variables it was computed under.
+type keptPage struct {
+	fv  [1 << memoPageShift]*varSet
+	sig [1 << memoPageShift]*bindings
 	val [1 << memoPageShift]*smt.Term
 }
 
@@ -182,13 +198,19 @@ func (e *Encoder) Subst(t *smt.Term, store *Store) *smt.Term {
 	e.gen++
 	if e.gen == 0 { // wrapped: no stamp may look current
 		clear(e.memo)
+		if e.keep != nil {
+			e.keep = newKeeper()
+		}
 		e.gen = 1
+	}
+	if e.keep != nil {
+		return e.substKept(t, store)
 	}
 	var walk func(x *smt.Term) *smt.Term
 	walk = func(x *smt.Term) *smt.Term {
-		pg, off := x.ID>>memoPageShift, x.ID&(1<<memoPageShift-1)
-		if pg < len(e.memo) && e.memo[pg] != nil && e.memo[pg].gen[off] == e.gen {
-			return e.memo[pg].val[off]
+		pg, off := e.page(x.ID)
+		if pg.gen[off] == e.gen {
+			return pg.val[off]
 		}
 		var out *smt.Term
 		switch x.Op {
@@ -212,16 +234,175 @@ func (e *Encoder) Subst(t *smt.Term, store *Store) *smt.Term {
 				out = e.rebuild(x, args)
 			}
 		}
-		if pg >= len(e.memo) {
-			e.memo = append(e.memo, make([]*memoPage, pg+1-len(e.memo))...)
-		}
-		if e.memo[pg] == nil {
-			e.memo[pg] = new(memoPage)
-		}
-		e.memo[pg].gen[off], e.memo[pg].val[off] = e.gen, out
+		pg.gen[off], pg.val[off] = e.gen, out
 		return out
 	}
 	return walk(t)
+}
+
+// page returns the memo page of term ID id, allocating it (and, on a
+// warm encoder, its kept half) on first use, and id's offset in it.
+func (e *Encoder) page(id int) (*memoPage, int) {
+	n, off := id>>memoPageShift, id&(1<<memoPageShift-1)
+	if n >= len(e.memo) {
+		e.memo = append(e.memo, make([]*memoPage, n+1-len(e.memo))...)
+	}
+	pg := e.memo[n]
+	if pg == nil {
+		pg = new(memoPage)
+		if e.keep != nil {
+			pg.kept = new(keptPage)
+		}
+		e.memo[n] = pg
+	}
+	return pg, off
+}
+
+// substKept is Subst on a warm encoder. A term's substitution depends
+// only on what the store binds its free variables to (an unbound
+// variable standing for itself, as in Store.Get), so a result kept from
+// an earlier call is still the answer while those bindings are the same
+// pointers. A hit skips the whole subtree: after a one-entry table delta
+// only the lookup tree's new root-to-leaf path misses, and its unchanged
+// siblings hit. The context hash-conses, so every term a skipped subtree
+// would build exists already: a hit creates no term and moves no ID.
+func (e *Encoder) substKept(x *smt.Term, store *Store) *smt.Term {
+	pg, off := e.page(x.ID)
+	if pg.gen[off] == e.gen {
+		return pg.val[off]
+	}
+	k, kp := e.keep, pg.kept
+	fv := kp.fv[off]
+	var out *smt.Term
+	switch x.Op {
+	case smt.OpBVVar, smt.OpBoolVar:
+		out = store.Get(x)
+		if fv == nil {
+			fv = k.intern([]*smt.Term{x})
+		}
+	case smt.OpBVConst, smt.OpBoolConst:
+		out, fv = x, k.empty
+	default:
+		if fv != nil && kp.sig[off] == k.bindingsOf(fv, store, e.gen) {
+			out = kp.val[off]
+			break
+		}
+		var buf [3]*smt.Term // no term has more than three arguments
+		args := buf[:len(x.Args)]
+		changed, union := false, k.empty
+		for i, a := range x.Args {
+			args[i] = e.substKept(a, store)
+			if args[i] != a {
+				changed = true
+			}
+			if fv == nil {
+				union = k.union(union, e.memo[a.ID>>memoPageShift].kept.fv[a.ID&(1<<memoPageShift-1)])
+			}
+		}
+		if fv == nil {
+			fv = union
+		}
+		if !changed {
+			out = x
+		} else {
+			out = e.rebuild(x, args)
+		}
+		kp.sig[off], kp.val[off] = k.bindingsOf(fv, store, e.gen), out
+	}
+	kp.fv[off] = fv
+	pg.gen[off], pg.val[off] = e.gen, out
+	return out
+}
+
+// keeper interns the free-variable sets of a warm encoder's terms. Terms
+// are hash-consed, so a term's set never changes; sets are interned by
+// content, and the many lookup-tree nodes over the same key variables
+// share one set, whose bindings each Subst call computes once.
+type keeper struct {
+	empty *varSet
+	sets  map[string]*varSet // by member term IDs
+	key   []byte             // scratch for sets' map keys
+	vars  []*smt.Term        // scratch for union
+	vals  []*smt.Term        // scratch for bindingsOf
+}
+
+// varSet is an interned set of variable terms.
+type varSet struct {
+	vars []*smt.Term // ascending term ID
+	// The bindings of vars last computed, under the store of Subst call
+	// gen. A later call that binds the vars alike gets the same pointer.
+	gen uint32
+	cur *bindings
+}
+
+// bindings is what a store binds a varSet's variables to, in order. Its
+// pointer stands for the values: two calls see the same pointer only
+// when they bind every variable of the set to the same terms. Bindings
+// that come back after others were met get a new pointer, so a result
+// kept under the old one misses once.
+type bindings struct{ vals []*smt.Term }
+
+func newKeeper() *keeper {
+	return &keeper{empty: &varSet{}, sets: map[string]*varSet{}}
+}
+
+// intern returns the set of vars, which must be in ascending ID order.
+// A new set keeps a copy of vars.
+func (k *keeper) intern(vars []*smt.Term) *varSet {
+	k.key = k.key[:0]
+	for _, v := range vars {
+		k.key = binary.AppendUvarint(k.key, uint64(v.ID))
+	}
+	if s, ok := k.sets[string(k.key)]; ok {
+		return s
+	}
+	s := &varSet{vars: slices.Clone(vars)}
+	k.sets[string(k.key)] = s
+	return s
+}
+
+// union returns the interned union of two sets.
+func (k *keeper) union(a, b *varSet) *varSet {
+	switch {
+	case a == b || len(b.vars) == 0:
+		return a
+	case len(a.vars) == 0:
+		return b
+	}
+	merged := k.vars[:0]
+	i, j := 0, 0
+	for i < len(a.vars) || j < len(b.vars) {
+		switch {
+		case j == len(b.vars) || i < len(a.vars) && a.vars[i].ID < b.vars[j].ID:
+			merged = append(merged, a.vars[i])
+			i++
+		case i == len(a.vars) || b.vars[j].ID < a.vars[i].ID:
+			merged = append(merged, b.vars[j])
+			j++
+		default:
+			merged = append(merged, a.vars[i])
+			i, j = i+1, j+1
+		}
+	}
+	k.vars = merged
+	return k.intern(merged)
+}
+
+// bindingsOf returns what store binds s's variables to, computed once per
+// Subst call gen.
+func (k *keeper) bindingsOf(s *varSet, store *Store, gen uint32) *bindings {
+	if s.gen == gen {
+		return s.cur
+	}
+	k.vals = k.vals[:0]
+	for _, v := range s.vars {
+		k.vals = append(k.vals, store.Get(v))
+	}
+	if s.cur == nil || !slices.Equal(s.cur.vals, k.vals) {
+		s.cur = &bindings{vals: slices.Clone(k.vals)}
+	}
+	s.gen = gen
+	return s.cur
 }
 
 func (e *Encoder) rebuild(x *smt.Term, args []*smt.Term) *smt.Term {

@@ -51,14 +51,6 @@ func (s *Solver) SetBudget(conflicts int64) {
 	s.sat.SetBudget(conflicts)
 }
 
-// SetLearntCap bounds the learnt-clause database of the underlying SAT
-// core. Long-lived incremental solvers answering many queries use this to
-// keep memory flat; values <= 0 remove the bound.
-func (s *Solver) SetLearntCap(n int) {
-	s.settle()
-	s.sat.SetLearntCap(n)
-}
-
 // SetPreprocess enables SatELite-style CNF preprocessing (subsumption,
 // self-subsuming resolution, bounded variable elimination) in the SAT
 // core. Models are reconstructed for eliminated variables and assumption/

@@ -157,6 +157,9 @@ func (d *Delta) ApplyCopy(s *Snapshot) (*Snapshot, error) {
 	next := NewSnapshot()
 	if s != nil {
 		maps.Copy(next.entries, s.entries)
+		s.mu.Lock()
+		maps.Copy(next.order, s.order)
+		s.mu.Unlock()
 	}
 	for _, t := range d.Tables() {
 		if es, ok := next.entries[t]; ok {
@@ -178,7 +181,7 @@ func applyOp(snap *Snapshot, op DeltaOp) error {
 		snap.Add(op.Table, cloneEntry(op.Entry, -1))
 		return nil
 	case OpRemove, OpReplace:
-		ordered := snap.Entries(op.Table)
+		ordered := snap.ordered(op.Table)
 		if op.Index < 0 || op.Index >= len(ordered) {
 			return fmt.Errorf("index %d out of range [0, %d)", op.Index, len(ordered))
 		}
@@ -194,17 +197,31 @@ func applyOp(snap *Snapshot, op DeltaOp) error {
 		if at < 0 {
 			return fmt.Errorf("internal: match-order entry not in table")
 		}
+		// The rest of the table keeps its relative match order, so the
+		// cached order is edited rather than sorted again.
 		if op.Kind == OpRemove {
 			snap.entries[op.Table] = append(raw[:at], raw[at+1:]...)
 			if len(snap.entries[op.Table]) == 0 {
 				delete(snap.entries, op.Table)
+				delete(snap.order, op.Table)
+			} else {
+				snap.order[op.Table] = slices.Delete(slices.Clone(ordered), op.Index, op.Index+1)
 			}
 			return nil
 		}
 		if op.Entry == nil {
 			return fmt.Errorf("replace without an entry")
 		}
-		raw[at] = cloneEntry(op.Entry, target.Priority)
+		ne := cloneEntry(op.Entry, target.Priority)
+		raw[at] = ne
+		if maxPrefix(ne) == maxPrefix(target) {
+			// Same sort key and raw position: the same place in the order.
+			next := slices.Clone(ordered)
+			next[op.Index] = ne
+			snap.order[op.Table] = next
+		} else {
+			delete(snap.order, op.Table)
+		}
 		return nil
 	}
 	return fmt.Errorf("unknown op kind %d", op.Kind)

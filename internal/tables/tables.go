@@ -9,6 +9,7 @@ import (
 	"sort"
 	"strconv"
 	"strings"
+	"sync"
 )
 
 // Entry is one installed table entry.
@@ -62,10 +63,22 @@ func Range(lo, hi uint64) KeyMatch {
 // Snapshot maps fully-qualified table names ("Control.table") to entries.
 type Snapshot struct {
 	entries map[string][]*Entry
+
+	// order caches each table's match order, the sort Entries returns,
+	// from the first time it is needed until Add, Remove or a delta
+	// changes the table. A cached slice is never modified: ApplyCopy
+	// shares it with the snapshot it copies. Readers fill order, so mu
+	// guards it between concurrent readers; the methods that change the
+	// snapshot need it to themselves, as they always did, and take no
+	// lock.
+	mu    sync.Mutex
+	order map[string][]*Entry
 }
 
 // NewSnapshot returns an empty snapshot.
-func NewSnapshot() *Snapshot { return &Snapshot{entries: map[string][]*Entry{}} }
+func NewSnapshot() *Snapshot {
+	return &Snapshot{entries: map[string][]*Entry{}, order: map[string][]*Entry{}}
+}
 
 // Add appends an entry to a table; priority defaults to insertion order if
 // negative.
@@ -74,11 +87,27 @@ func (s *Snapshot) Add(table string, e *Entry) {
 		e.Priority = len(s.entries[table])
 	}
 	s.entries[table] = append(s.entries[table], e)
+	delete(s.order, table)
 }
 
 // Entries returns a table's entries sorted by priority (LPM entries sort by
-// descending prefix length first, mirroring switch behaviour).
+// descending prefix length first, mirroring switch behaviour). The slice
+// is the caller's; the entries are the snapshot's. The order is cached
+// per table, so an entry whose priority or keys change in place keeps
+// its old position until Add, Remove or a delta changes its table; a
+// Clone orders afresh.
 func (s *Snapshot) Entries(table string) []*Entry {
+	return append([]*Entry(nil), s.ordered(table)...)
+}
+
+// ordered returns the table's cached match order, sorting it on first
+// use. The caller must not modify the slice.
+func (s *Snapshot) ordered(table string) []*Entry {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if es, ok := s.order[table]; ok {
+		return es
+	}
 	es := append([]*Entry(nil), s.entries[table]...)
 	sort.SliceStable(es, func(i, j int) bool {
 		pi, pj := maxPrefix(es[i]), maxPrefix(es[j])
@@ -87,6 +116,9 @@ func (s *Snapshot) Entries(table string) []*Entry {
 		}
 		return es[i].Priority < es[j].Priority
 	})
+	if len(es) > 0 {
+		s.order[table] = es
+	}
 	return es
 }
 
@@ -141,7 +173,10 @@ func (s *Snapshot) Clone() *Snapshot {
 }
 
 // Remove deletes all entries of a table.
-func (s *Snapshot) Remove(table string) { delete(s.entries, table) }
+func (s *Snapshot) Remove(table string) {
+	delete(s.entries, table)
+	delete(s.order, table)
+}
 
 // ParseSnapshot reads the snapshot text format:
 //

@@ -28,6 +28,11 @@ import (
 //     touches and the glue around them, and the VC generator's state
 //     after the statements the runs share (gcl.Resumer), so vcgen starts
 //     where the programs first differ;
+//   - the VC generator's substitutions (kept by the gcl.Resumer's
+//     encoder), each with the bindings of its free variables it was
+//     computed under, so vcgen re-substitutes only the sub-terms whose
+//     inputs changed: after a one-entry delta, the lookup tree's new
+//     root-to-leaf path, not the whole tree;
 //   - the cone-of-influence slicer with its factorization and
 //     variable-support memos, so only conjunct lists involving new
 //     terms are re-factored;
@@ -245,12 +250,15 @@ func (s *Session) Affected(delta *tables.Delta) []string {
 }
 
 // Compact releases the session's warm memory: the shared solver, the
-// verdict cache, the stored encodings and vcgen state, the slicer memos,
-// and the term arena (rolled back to the creation watermark). The
-// session stays usable — the next Apply re-encodes and re-checks
-// everything from scratch, exactly as a new session would. Reports previously returned keep their rendered bytes
-// (JSON, Cex strings) but their term-level internals (Ctx, Env, Result,
-// Violation.Cond/Model) must not be used afterwards.
+// verdict cache, the stored encodings, the vcgen state and kept
+// substitutions, the slicer memos, and the term arena (rolled back to
+// the creation watermark). Everything keyed by term ID goes with the
+// arena, since Release hands the IDs to new terms. The session stays
+// usable — the next Apply re-encodes and re-checks everything from
+// scratch, exactly as a new session would. Reports previously returned
+// keep their rendered bytes (JSON, Cex strings) but their term-level
+// internals (Ctx, Env, Result, Violation.Cond/Model) must not be used
+// afterwards.
 func (s *Session) Compact() {
 	s.dropSolver()
 	s.cache = nil
